@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use iq_common::{IqError, IqResult};
 
-use crate::value::{DataType, KeyVal, Value};
+use crate::value::{DataType, Value};
 
 /// One materialized column.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,17 +60,6 @@ impl Col {
         }
     }
 
-    /// Hashable key at `row`. Floats key by bit pattern (exact equality).
-    pub fn key(&self, row: usize) -> IqResult<KeyVal> {
-        Ok(match self {
-            Col::I64(v) => KeyVal::I(v[row]),
-            Col::Str(v) => KeyVal::S(Arc::clone(&v[row])),
-            Col::Date(v) => KeyVal::D(v[row]),
-            Col::Bool(v) => KeyVal::I(v[row] as i64),
-            Col::F64(v) => KeyVal::F(v[row].to_bits()),
-        })
-    }
-
     /// Keep only rows where `mask` is true.
     pub fn filter(&self, mask: &[bool]) -> Col {
         fn pick<T: Clone>(v: &[T], mask: &[bool]) -> Vec<T> {
@@ -103,14 +92,14 @@ impl Col {
         }
     }
 
-    /// Append another column of the same variant.
-    pub fn append(&mut self, other: &Col) -> IqResult<()> {
+    /// Append another column of the same variant, moving its values.
+    pub fn append(&mut self, other: Col) -> IqResult<()> {
         match (self, other) {
-            (Col::I64(a), Col::I64(b)) => a.extend_from_slice(b),
-            (Col::F64(a), Col::F64(b)) => a.extend_from_slice(b),
-            (Col::Str(a), Col::Str(b)) => a.extend(b.iter().cloned()),
-            (Col::Date(a), Col::Date(b)) => a.extend_from_slice(b),
-            (Col::Bool(a), Col::Bool(b)) => a.extend_from_slice(b),
+            (Col::I64(a), Col::I64(b)) => a.extend(b),
+            (Col::F64(a), Col::F64(b)) => a.extend(b),
+            (Col::Str(a), Col::Str(b)) => a.extend(b),
+            (Col::Date(a), Col::Date(b)) => a.extend(b),
+            (Col::Bool(a), Col::Bool(b)) => a.extend(b),
             _ => return Err(IqError::Invalid("column type mismatch on append".into())),
         }
         Ok(())
@@ -227,16 +216,16 @@ impl Chunk {
         Chunk::new(self.cols.iter().map(|c| c.take(idx)).collect())
     }
 
-    /// Append another chunk's rows.
-    pub fn append(&mut self, other: &Chunk) -> IqResult<()> {
+    /// Append another chunk's rows, moving its values.
+    pub fn append(&mut self, other: Chunk) -> IqResult<()> {
         if self.cols.is_empty() {
-            self.cols = other.cols.clone();
+            self.cols = other.cols;
             return Ok(());
         }
         if self.cols.len() != other.cols.len() {
             return Err(IqError::Invalid("chunk arity mismatch on append".into()));
         }
-        for (a, b) in self.cols.iter_mut().zip(&other.cols) {
+        for (a, b) in self.cols.iter_mut().zip(other.cols) {
             a.append(b)?;
         }
         Ok(())
@@ -283,30 +272,20 @@ mod tests {
     fn append_checks_arity_and_types() {
         let mut a = sample();
         let b = sample();
-        a.append(&b).unwrap();
+        a.append(b).unwrap();
         assert_eq!(a.len(), 6);
         let bad = Chunk::new(vec![Col::I64(vec![1])]);
-        assert!(a.append(&bad).is_err());
+        assert!(a.append(bad).is_err());
         let mut x = Col::I64(vec![1]);
-        assert!(x.append(&Col::F64(vec![1.0])).is_err());
+        assert!(x.append(Col::F64(vec![1.0])).is_err());
     }
 
     #[test]
     fn empty_chunk_append_adopts() {
         let mut e = Chunk::default();
         assert!(e.is_empty());
-        e.append(&sample()).unwrap();
+        e.append(sample()).unwrap();
         assert_eq!(e.len(), 3);
-    }
-
-    #[test]
-    fn keys_for_all_types() {
-        let c = sample();
-        assert_eq!(c.col(0).key(0).unwrap(), KeyVal::I(1));
-        // Floats key by bit pattern: equal values collide, distinct don't.
-        assert_eq!(c.col(1).key(0).unwrap(), KeyVal::F(1.5f64.to_bits()));
-        assert_ne!(c.col(1).key(0).unwrap(), c.col(1).key(1).unwrap());
-        assert_eq!(c.col(2).key(1).unwrap(), KeyVal::S("b".into()));
     }
 
     #[test]

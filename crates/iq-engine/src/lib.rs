@@ -56,4 +56,4 @@ pub use prefetch::{PrefetchAdmission, PrefetchTicket, PREFETCH_DEPTH};
 pub use scanstats::ScanStats;
 pub use store::{MemPageStore, PageStore};
 pub use table::{ColumnDef, RangePartitioning, ScanOptions, Schema, TableMeta, TableWriter};
-pub use value::{DataType, KeyVal, Value};
+pub use value::{DataType, Value};

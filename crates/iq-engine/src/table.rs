@@ -578,7 +578,7 @@ impl TableMeta {
         })?;
 
         let mut out = Chunk::default();
-        for chunk in &chunks {
+        for chunk in chunks {
             out.append(chunk)?;
         }
         // An empty result still carries the projected arity.
