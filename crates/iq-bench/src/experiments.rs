@@ -1386,7 +1386,6 @@ fn pack_lifecycle(
     use iq_engine::PageStore;
     use iq_objectstore::{CostLedger, IoOp};
     use iq_storage::PageKind;
-    use std::sync::atomic::Ordering;
 
     let mut cfg = DatabaseConfig::test_small();
     // Table-1 geometry: a wide blockmap so node flushes stay a small
@@ -1471,7 +1470,7 @@ fn pack_lifecycle(
     let snap = store.stats.snapshot();
     let mut ledger = CostLedger::default();
     ledger.charge_requests(&DeviceProfile::s3(), &snap);
-    let ps = &db.shared().pack_stats;
+    let ps = db.shared().pack_stats.snapshot();
     let cs = db.shared().txns.composites().stats();
     Ok(PackMeasure {
         label: label.to_string(),
@@ -1480,11 +1479,11 @@ fn pack_lifecycle(
         pages,
         load_puts,
         cold_gets,
-        over_read_bytes: ps.bytes_over_read.load(Ordering::Relaxed),
-        objects_written: ps.objects_written.load(Ordering::Relaxed),
-        compactions: ps.compactions.load(Ordering::Relaxed),
-        compaction_rewritten: ps.compaction_rewritten.load(Ordering::Relaxed),
-        composites_reclaimed: cs.reclaimed,
+        over_read_bytes: ps.bytes_over_read,
+        objects_written: ps.objects_written,
+        compactions: ps.compactions,
+        compaction_rewritten: ps.compaction_rewritten,
+        composites_reclaimed: cs.composites_reclaimed,
         total_puts: snap.op(IoOp::Put).count,
         total_gets: snap.count_for(&[IoOp::Get, IoOp::GetMiss, IoOp::Head]),
         request_usd: ledger.request_usd(),
@@ -2188,8 +2187,7 @@ fn prune_leg(rows: i64, pred_name: &str, late_mat: bool) -> IqResult<PruneMeasur
         }
     }
 
-    let sc = db.scan_stats();
-    use iq_engine::ScanStats;
+    let sc = db.scan_stats().snapshot();
     Ok(PruneMeasure {
         label: format!(
             "{pred_name}, {}",
@@ -2199,13 +2197,13 @@ fn prune_leg(rows: i64, pred_name: &str, late_mat: bool) -> IqResult<PruneMeasur
         rows: rows as u64,
         groups: meta.groups.len() as u64,
         matched_rows: out.len() as u64,
-        groups_zone_pruned: ScanStats::get(&sc.groups_zone_pruned),
-        groups_empty_mask: ScanStats::get(&sc.groups_empty_mask),
-        groups_materialized: ScanStats::get(&sc.groups_materialized),
-        predicate_pages_read: ScanStats::get(&sc.predicate_pages_read),
-        projection_pages_read: ScanStats::get(&sc.projection_pages_read),
-        projection_pages_skipped: ScanStats::get(&sc.projection_pages_skipped),
-        dict_filter_columns: ScanStats::get(&sc.dict_filter_columns),
+        groups_zone_pruned: sc.groups_zone_pruned,
+        groups_empty_mask: sc.groups_empty_mask,
+        groups_materialized: sc.groups_materialized,
+        predicate_pages_read: sc.predicate_pages_read,
+        projection_pages_read: sc.projection_pages_read,
+        projection_pages_skipped: sc.projection_pages_skipped,
+        dict_filter_columns: sc.dict_filter_columns,
         scan_gets: snap.total_requests,
         scan_request_usd: ledger.request_usd(),
         checksum,

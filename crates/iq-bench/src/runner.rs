@@ -218,14 +218,7 @@ impl PowerRun {
         }
 
         // ---------------- Query phases ----------------
-        let ocm_before = db
-            .ocm()
-            .map(|o| o.stats_snapshot())
-            .unwrap_or(OcmStatsSnapshot {
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            });
+        let ocm_before = db.ocm().map(|o| o.stats_snapshot()).unwrap_or_default();
         let mut queries = Vec::with_capacity(22);
         let qtxn = db.begin();
         let qpager = db.pager(qtxn)?;
@@ -260,19 +253,8 @@ impl PowerRun {
             });
         }
         db.rollback(qtxn)?;
-        let ocm_after = db
-            .ocm()
-            .map(|o| o.stats_snapshot())
-            .unwrap_or(OcmStatsSnapshot {
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            });
-        let ocm_stats = OcmStatsSnapshot {
-            hits: ocm_after.hits - ocm_before.hits,
-            misses: ocm_after.misses - ocm_before.misses,
-            evictions: ocm_after.evictions - ocm_before.evictions,
-        };
+        let ocm_after = db.ocm().map(|o| o.stats_snapshot()).unwrap_or_default();
+        let ocm_stats = ocm_after.since(&ocm_before);
 
         Ok(PowerRun {
             config,

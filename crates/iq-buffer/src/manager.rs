@@ -129,34 +129,45 @@ struct DirtyIndex {
     evict_errors: HashMap<TxnId, IqError>,
 }
 
-/// Point-in-time copy of the buffer counters. All fields are totals over
-/// one epoch (or the process lifetime, for
-/// [`BufferStats::lifetime_snapshot`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BufferStatsSnapshot {
-    /// Cache hits.
-    pub hits: u64,
-    /// Misses where a query waited on the load.
-    pub demand_misses: u64,
-    /// Pages loaded by the prefetcher.
-    pub prefetched: u64,
-    /// Frames evicted (clean or dirty).
-    pub evictions: u64,
-    /// Dirty frames flushed due to eviction.
-    pub dirty_evictions: u64,
-    /// Dirty frames flushed at commit.
-    pub commit_flushes: u64,
-    /// Probationary→protected SLRU promotions.
-    pub promotions: u64,
-    /// Protected→probationary SLRU demotions (protected overflow).
-    pub demotions: u64,
-    /// Peak commit flushes in flight at once during the epoch.
-    pub flush_in_flight_peak: u64,
-    /// Wall-clock nanoseconds inside commit-flush fan-outs (diagnostic).
-    pub flush_wall_nanos: u64,
-    /// Wall-clock nanoseconds threads spent blocked on shard locks
-    /// (diagnostic; the contention signal `repro --cache` reports).
-    pub lock_wait_nanos: u64,
+iq_common::counters! {
+    /// Counters exposed for tests and the benchmark harness.
+    ///
+    /// Counters are monotone for the process lifetime; phase boundaries are
+    /// expressed with [`BufferStats::begin_epoch`], which records the
+    /// current totals as a baseline that [`BufferStats::snapshot`]
+    /// subtracts. Nothing is ever zeroed under the shards' concurrent
+    /// `Relaxed` increments, so a snapshot near a phase boundary cannot mix
+    /// pre- and post-boundary values.
+    pub struct BufferStats with epoch {
+        /// Cache hits.
+        sum hits,
+        /// Misses where a query waited on the load.
+        sum demand_misses,
+        /// Pages loaded by the prefetcher.
+        sum prefetched,
+        /// Frames evicted (clean or dirty).
+        sum evictions,
+        /// Dirty frames flushed due to eviction.
+        sum dirty_evictions,
+        /// Dirty frames flushed at commit.
+        sum commit_flushes,
+        /// Probationary→protected SLRU promotions.
+        sum promotions,
+        /// Protected→probationary SLRU demotions (protected overflow).
+        sum demotions,
+        /// Peak number of commit flushes in flight at once.
+        max flush_in_flight_peak (unexported),
+        /// Wall-clock nanoseconds spent inside commit-flush fan-outs.
+        /// Diagnostic only — reported results use virtual time.
+        sum flush_wall_nanos (unexported),
+        /// Wall-clock nanoseconds threads spent blocked on shard locks
+        /// (diagnostic; the contention signal `repro --cache` reports).
+        sum lock_wait_nanos,
+    }
+    /// Point-in-time copy of the buffer counters. All fields are totals
+    /// over one epoch (or the process lifetime, for
+    /// [`BufferStats::lifetime_snapshot`]).
+    pub struct BufferStatsSnapshot;
 }
 
 impl BufferStatsSnapshot {
@@ -170,113 +181,9 @@ impl BufferStatsSnapshot {
             d / (d + p)
         }
     }
-
-    fn saturating_sub(&self, base: &BufferStatsSnapshot) -> BufferStatsSnapshot {
-        BufferStatsSnapshot {
-            hits: self.hits.saturating_sub(base.hits),
-            demand_misses: self.demand_misses.saturating_sub(base.demand_misses),
-            prefetched: self.prefetched.saturating_sub(base.prefetched),
-            evictions: self.evictions.saturating_sub(base.evictions),
-            dirty_evictions: self.dirty_evictions.saturating_sub(base.dirty_evictions),
-            commit_flushes: self.commit_flushes.saturating_sub(base.commit_flushes),
-            promotions: self.promotions.saturating_sub(base.promotions),
-            demotions: self.demotions.saturating_sub(base.demotions),
-            // Max-counter: reset to 0 at `begin_epoch`, never subtracted.
-            flush_in_flight_peak: self.flush_in_flight_peak,
-            flush_wall_nanos: self.flush_wall_nanos.saturating_sub(base.flush_wall_nanos),
-            lock_wait_nanos: self.lock_wait_nanos.saturating_sub(base.lock_wait_nanos),
-        }
-    }
-}
-
-/// Counters exposed for tests and the benchmark harness.
-///
-/// Counters are monotone for the process lifetime; phase boundaries are
-/// expressed with [`BufferStats::begin_epoch`], which records the current
-/// totals as a baseline that [`BufferStats::snapshot`] subtracts — the
-/// epoch-style API `DeviceStats` uses. The previous `reset()` stored zeros
-/// into counters that shards were concurrently incrementing with `Relaxed`
-/// ordering, so a snapshot taken near a phase boundary could mix pre- and
-/// post-reset values (torn snapshot); baselines never race the increments.
-#[derive(Debug, Default)]
-pub struct BufferStats {
-    /// Cache hits.
-    pub hits: AtomicU64,
-    /// Misses where a query waited on the load.
-    pub demand_misses: AtomicU64,
-    /// Pages loaded by the prefetcher.
-    pub prefetched: AtomicU64,
-    /// Frames evicted (clean or dirty).
-    pub evictions: AtomicU64,
-    /// Dirty frames flushed due to eviction.
-    pub dirty_evictions: AtomicU64,
-    /// Dirty frames flushed at commit.
-    pub commit_flushes: AtomicU64,
-    /// Probationary→protected SLRU promotions.
-    pub promotions: AtomicU64,
-    /// Protected→probationary SLRU demotions.
-    pub demotions: AtomicU64,
-    /// Peak number of commit flushes in flight at once (max-counter; reset
-    /// at each [`BufferStats::begin_epoch`]).
-    pub flush_in_flight_peak: AtomicU64,
-    /// Wall-clock nanoseconds spent inside commit-flush fan-outs.
-    /// Diagnostic only — reported results use virtual time.
-    pub flush_wall_nanos: AtomicU64,
-    /// Wall-clock nanoseconds spent blocked acquiring shard locks.
-    /// Diagnostic only.
-    pub lock_wait_nanos: AtomicU64,
-    /// Totals at the start of the current epoch.
-    baseline: Mutex<BufferStatsSnapshot>,
-    /// Epochs begun so far.
-    epochs: AtomicU64,
 }
 
 impl BufferStats {
-    fn load_totals(&self) -> BufferStatsSnapshot {
-        BufferStatsSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            demand_misses: self.demand_misses.load(Ordering::Relaxed),
-            prefetched: self.prefetched.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            dirty_evictions: self.dirty_evictions.load(Ordering::Relaxed),
-            commit_flushes: self.commit_flushes.load(Ordering::Relaxed),
-            promotions: self.promotions.load(Ordering::Relaxed),
-            demotions: self.demotions.load(Ordering::Relaxed),
-            flush_in_flight_peak: self.flush_in_flight_peak.load(Ordering::Relaxed),
-            flush_wall_nanos: self.flush_wall_nanos.load(Ordering::Relaxed),
-            lock_wait_nanos: self.lock_wait_nanos.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Start a new epoch: current totals become the baseline that
-    /// [`BufferStats::snapshot`] subtracts. The in-flight-peak max-counter
-    /// restarts from zero.
-    pub fn begin_epoch(&self) {
-        let mut base = self.baseline.lock();
-        self.flush_in_flight_peak.store(0, Ordering::Relaxed);
-        let mut totals = self.load_totals();
-        totals.flush_in_flight_peak = 0;
-        *base = totals;
-        self.epochs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Epochs begun so far (0 until the first [`BufferStats::begin_epoch`]).
-    pub fn epoch(&self) -> u64 {
-        self.epochs.load(Ordering::Relaxed)
-    }
-
-    /// Counters accumulated in the current epoch.
-    pub fn snapshot(&self) -> BufferStatsSnapshot {
-        let base = *self.baseline.lock();
-        self.load_totals().saturating_sub(&base)
-    }
-
-    /// Counters accumulated over the whole process lifetime (epoch
-    /// boundaries ignored; the in-flight peak is the current epoch's).
-    pub fn lifetime_snapshot(&self) -> BufferStatsSnapshot {
-        self.load_totals()
-    }
-
     /// Fraction of loads in the current epoch that were demand misses
     /// (serial latency).
     pub fn demand_fraction(&self) -> f64 {

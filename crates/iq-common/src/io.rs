@@ -23,46 +23,44 @@
 //! Both sides feed one shared [`IoStats`], exported as the `io.*`
 //! metrics source.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-/// Shared counters for the submission/completion core — the `io.*`
-/// metrics source. One instance per database, fed from both ends of the
-/// pipe: the [`IoCore`] fan-out accounts logical operations
-/// (submission-depth in-flight tracking), the backend reactor accounts
-/// descriptors (queue depth, completions, failures), and the group-commit
-/// gather accounts coalesced log appends.
-#[derive(Debug, Default)]
-pub struct IoStats {
-    /// Descriptors submitted to the backend reactor.
-    pub submitted: AtomicU64,
-    /// Completions the reactor delivered (success or failure).
-    pub completed: AtomicU64,
-    /// Completions that carried an error.
-    pub failed: AtomicU64,
-    /// Peak length of the reactor's submission queue.
-    pub queue_depth_peak: AtomicU64,
-    /// Logical operations currently submitted and not yet completed at
-    /// the [`IoCore`] layer (scan morsels, flush groups, delete chunks).
-    pub ops_in_flight: AtomicU64,
-    /// Peak of [`Self::ops_in_flight`] — submission depth, not thread
-    /// count: a batch of `n` operations drives this to at least `n`
-    /// however few execution lanes carry it.
-    pub in_flight_peak: AtomicU64,
-    /// Transaction-log appends absorbed into another append's PUT by the
-    /// group-commit gather (each leader PUT of a batch of `k` adds
-    /// `k - 1`).
-    pub coalesced_appends: AtomicU64,
+crate::counters! {
+    /// Shared counters for the submission/completion core — the `io.*`
+    /// metrics source. One instance per database, fed from both ends of the
+    /// pipe: the [`IoCore`] fan-out accounts logical operations
+    /// (submission-depth in-flight tracking), the backend reactor accounts
+    /// descriptors (queue depth, completions, failures), and the group-commit
+    /// gather accounts coalesced log appends.
+    pub struct IoStats {
+        /// Descriptors submitted to the backend reactor.
+        sum submitted,
+        /// Completions the reactor delivered (success or failure).
+        sum completed,
+        /// Completions that carried an error.
+        sum failed,
+        /// Peak length of the reactor's submission queue.
+        max queue_depth_peak,
+        /// Logical operations currently submitted and not yet completed at
+        /// the [`IoCore`] layer (scan morsels, flush groups, delete chunks).
+        gauge ops_in_flight (unexported),
+        /// Peak of `ops_in_flight` — submission depth, not thread count: a
+        /// batch of `n` operations drives this to at least `n` however few
+        /// execution lanes carry it.
+        max in_flight_peak,
+        /// Transaction-log appends absorbed into another append's PUT by the
+        /// group-commit gather (each leader PUT of a batch of `k` adds
+        /// `k - 1`).
+        sum coalesced_appends,
+    }
+    /// Point-in-time copy of [`IoStats`].
+    pub struct IoStatsSnapshot;
 }
 
 impl IoStats {
-    /// Fresh, zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Account a batch of `n` logical operations submitted for
     /// completion.
     pub fn note_submit_batch(&self, n: usize) {
@@ -99,35 +97,6 @@ impl IoStats {
         self.coalesced_appends
             .fetch_add(batch.saturating_sub(1) as u64, Ordering::Relaxed);
     }
-
-    /// Point-in-time copy of every counter.
-    pub fn snapshot(&self) -> IoStatsSnapshot {
-        IoStatsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
-            in_flight_peak: self.in_flight_peak.load(Ordering::Relaxed),
-            coalesced_appends: self.coalesced_appends.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time copy of [`IoStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoStatsSnapshot {
-    /// Descriptors submitted to the reactor.
-    pub submitted: u64,
-    /// Completions delivered.
-    pub completed: u64,
-    /// Completions carrying an error.
-    pub failed: u64,
-    /// Peak reactor submission-queue length.
-    pub queue_depth_peak: u64,
-    /// Peak logical operations in flight at the submission layer.
-    pub in_flight_peak: u64,
-    /// Log appends coalesced into group-commit PUTs.
-    pub coalesced_appends: u64,
 }
 
 /// Counters describing one [`IoCore::run_ordered_with_stats`] batch.
@@ -415,7 +384,7 @@ mod tests {
         // The io_uring property this PR exists for: in-flight depth is the
         // number of submitted operations, not the number of lanes carrying
         // them. 2 lanes, 16 submitted ops → peak 16.
-        let stats = Arc::new(IoStats::new());
+        let stats = Arc::new(IoStats::default());
         let io = IoCore::new(2).with_stats(Arc::clone(&stats));
         let out: Result<Vec<usize>, ()> = io.run_ordered(16, Ok);
         assert_eq!(out.unwrap().len(), 16);
@@ -428,7 +397,7 @@ mod tests {
 
     #[test]
     fn failed_batches_retire_their_submission_depth() {
-        let stats = Arc::new(IoStats::new());
+        let stats = Arc::new(IoStats::default());
         let io = IoCore::new(4).with_stats(Arc::clone(&stats));
         let err: Result<Vec<usize>, ()> =
             io.run_ordered(64, |i| if i == 0 { Err(()) } else { Ok(i) });

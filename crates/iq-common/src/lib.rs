@@ -24,12 +24,16 @@
 //!   commit-flush fan-out and the GC's batched deletes: operations are
 //!   *submitted* and their completions awaited, so in-flight depth is
 //!   bounded by submitted work rather than by blocked threads.
+//! * [`counters`] — the [`counters!`] declaration every layer's
+//!   relaxed-atomic counter set is generated from (storage, snapshot,
+//!   epoch and metric rows).
 //! * [`trace`] — the unified observability layer: a deterministic
 //!   structured-event journal timed by the virtual op-clock, plus the
 //!   [`MetricsRegistry`] subsystems expose counters through.
 
 pub mod bitmap;
 pub mod clock;
+pub mod counters;
 pub mod error;
 pub mod ids;
 pub mod io;

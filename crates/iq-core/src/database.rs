@@ -1,7 +1,7 @@
 //! The assembled database.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use iq_buffer::{BufferManager, BufferOptions};
@@ -24,6 +24,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::config::{DatabaseConfig, GroupCommitMode};
 use crate::group_commit::DurableLog;
+use crate::log_recovery::LogRecoveryStats;
 use crate::pager::Pager;
 use crate::sink::DatabaseSink;
 use crate::tablestore::TableStore;
@@ -79,68 +80,45 @@ pub struct Shared {
     pub log_recovery: LogRecoveryStats,
 }
 
-/// Counters describing what durable-log recovery did at `reopen` time
-/// (see [`crate::log_recovery`]). Exported under `log.*`.
-#[derive(Debug, Default)]
-pub struct LogRecoveryStats {
-    /// GETs issued against the log store while reconstructing the
-    /// durable record stream.
-    pub recovery_gets: AtomicU64,
-    /// Records reconstructed from the durable stream.
-    pub replayed_records: AtomicU64,
-    /// In-memory commit records dropped because their transaction was
-    /// not durably committed.
-    pub reconciled_drops: AtomicU64,
-}
-
-impl LogRecoveryStats {
-    fn record(&self, report: &crate::log_recovery::RecoveryReport) {
-        self.recovery_gets
-            .store(report.recovery_gets, Ordering::Relaxed);
-        self.replayed_records
-            .store(report.replayed_records, Ordering::Relaxed);
-        self.reconciled_drops
-            .store(report.reconciled_drops, Ordering::Relaxed);
+iq_common::counters! {
+    /// Lifetime counters for the page-packing write/read path, exported as
+    /// the `pack.*` metrics source together with the composite registry's
+    /// refcount counters.
+    pub struct PackStats {
+        /// Composite objects written.
+        sum objects_written,
+        /// Pages that left the cache inside a composite.
+        sum pages_packed,
+        /// Pages-per-object histogram.
+        hist pack_hist [
+            pack_le_1 <= 1,
+            pack_le_4 <= 4,
+            pack_le_16 <= 16,
+            pack_le_64 <= 64;
+            pack_gt_64
+        ],
+        /// Member reads served (ranged or slice-of-whole).
+        sum ranged_gets,
+        /// Bytes fetched beyond the member window (0 for true ranged GETs;
+        /// the `pack_ranged_gets = false` ablation makes this nonzero).
+        sum bytes_over_read,
+        /// Compaction rounds driven to a commit.
+        sum compactions,
+        /// Live members rewritten into fresh composites by compaction.
+        sum compaction_rewritten,
+        /// Candidate members skipped because the page had already moved on
+        /// — rewriting them would have double-freed the newer version.
+        sum compaction_stale_skips,
     }
-}
-
-/// Lifetime counters for the page-packing write/read path, exported as
-/// the `pack.*` metrics source together with the composite registry's
-/// refcount counters.
-#[derive(Debug, Default)]
-pub struct PackStats {
-    /// Composite objects written.
-    pub objects_written: AtomicU64,
-    /// Pages that left the cache inside a composite.
-    pub pages_packed: AtomicU64,
-    /// Pages-per-object histogram: ≤1, ≤4, ≤16, ≤64, >64.
-    pub pack_hist: [AtomicU64; 5],
-    /// Member reads served (ranged or slice-of-whole).
-    pub ranged_gets: AtomicU64,
-    /// Bytes fetched beyond the member window (0 for true ranged GETs;
-    /// the `pack_ranged_gets = false` ablation makes this nonzero).
-    pub bytes_over_read: AtomicU64,
-    /// Compaction rounds driven to a commit.
-    pub compactions: AtomicU64,
-    /// Live members rewritten into fresh composites by compaction.
-    pub compaction_rewritten: AtomicU64,
-    /// Candidate members skipped because the page had already moved on —
-    /// rewriting them would have double-freed the newer version.
-    pub compaction_stale_skips: AtomicU64,
+    /// Point-in-time copy of [`PackStats`].
+    pub struct PackStatsSnapshot;
 }
 
 impl PackStats {
-    pub(crate) fn note_pack(&self, pages: usize, _bytes: u64) {
+    pub(crate) fn note_pack(&self, pages: usize) {
         self.objects_written.fetch_add(1, Ordering::Relaxed);
         self.pages_packed.fetch_add(pages as u64, Ordering::Relaxed);
-        let bucket = match pages {
-            0..=1 => 0,
-            2..=4 => 1,
-            5..=16 => 2,
-            17..=64 => 3,
-            _ => 4,
-        };
-        self.pack_hist[bucket].fetch_add(1, Ordering::Relaxed);
+        self.pack_hist.record(pages as u64);
     }
 
     pub(crate) fn note_range_read(&self, read: &iq_objectstore::RangeRead) {
@@ -234,351 +212,114 @@ fn buffer_options(config: &DatabaseConfig) -> BufferOptions {
     }
 }
 
-/// Register the sources that exist from birth: the buffer manager and the
-/// transaction manager. Closures hold a `Weak` back-reference — the
-/// registry lives inside `Shared`, so a strong capture would leak the
-/// whole database.
-fn register_core_metrics(shared: &Arc<Shared>) {
+/// Rows a metrics source reports.
+type Rows = Vec<(String, MetricValue)>;
+
+/// One metric row.
+fn row(name: &str, value: MetricValue) -> (String, MetricValue) {
+    (name.to_string(), value)
+}
+
+/// Register `rows` as the metrics source `name`. The closure holds a
+/// `Weak` back-reference — the registry lives inside `Shared`, so a strong
+/// capture would leak the whole database.
+fn register_source(shared: &Arc<Shared>, name: &str, rows: fn(&Shared) -> Rows) {
     let w = Arc::downgrade(shared);
-    shared.metrics.register("buffer", move || {
-        let Some(s) = w.upgrade() else {
-            return Vec::new();
-        };
+    shared.metrics.register(name, move || {
+        w.upgrade().map(|s| rows(&s)).unwrap_or_default()
+    });
+}
+
+/// Register the sources that exist from birth. Each source is its counter
+/// set's generated rows plus the few rows derived from other state.
+fn register_core_metrics(shared: &Arc<Shared>) {
+    register_source(shared, "buffer", |s| {
         // Metrics report lifetime totals regardless of how many measurement
         // epochs the benchmark harness has opened on the same counters.
         let b = s.buffer.stats.lifetime_snapshot();
-        vec![
-            ("hits".into(), MetricValue::U64(b.hits)),
-            ("demand_misses".into(), MetricValue::U64(b.demand_misses)),
-            ("prefetched".into(), MetricValue::U64(b.prefetched)),
-            ("evictions".into(), MetricValue::U64(b.evictions)),
-            (
-                "dirty_evictions".into(),
-                MetricValue::U64(b.dirty_evictions),
-            ),
-            ("commit_flushes".into(), MetricValue::U64(b.commit_flushes)),
-            ("promotions".into(), MetricValue::U64(b.promotions)),
-            ("demotions".into(), MetricValue::U64(b.demotions)),
-            (
-                "lock_wait_nanos".into(),
-                MetricValue::U64(b.lock_wait_nanos),
-            ),
-            (
-                "shards".into(),
-                MetricValue::U64(s.buffer.shard_count() as u64),
-            ),
-            ("epoch".into(), MetricValue::U64(s.buffer.stats.epoch())),
-            (
-                "used_bytes".into(),
-                MetricValue::U64(s.buffer.used_bytes() as u64),
-            ),
-            (
-                "demand_fraction".into(),
-                MetricValue::F64(b.demand_fraction()),
-            ),
-        ]
+        let mut rows = b.metric_rows();
+        rows.extend([
+            row("shards", MetricValue::U64(s.buffer.shard_count() as u64)),
+            row("epoch", MetricValue::U64(s.buffer.stats.epoch())),
+            row("used_bytes", MetricValue::U64(s.buffer.used_bytes() as u64)),
+            row("demand_fraction", MetricValue::F64(b.demand_fraction())),
+        ]);
+        rows
     });
-    let w = Arc::downgrade(shared);
-    shared.metrics.register("txn", move || {
-        let Some(s) = w.upgrade() else {
-            return Vec::new();
-        };
+    register_source(shared, "txn", |s| {
+        let max_key = s.mx.coordinator.keygen().map(|k| k.max_allocated());
         vec![
-            (
-                "active".into(),
-                MetricValue::U64(s.txns.active_count() as u64),
-            ),
-            (
-                "committed_chain".into(),
+            row("active", MetricValue::U64(s.txns.active_count() as u64)),
+            row(
+                "committed_chain",
                 MetricValue::U64(s.txns.chain_len() as u64),
             ),
-            ("commit_seq".into(), MetricValue::U64(s.txns.current_seq())),
-            (
-                "max_allocated_key".into(),
-                MetricValue::U64(
-                    s.mx.coordinator
-                        .keygen()
-                        .map(|k| k.max_allocated())
-                        .unwrap_or(0),
-                ),
-            ),
+            row("commit_seq", MetricValue::U64(s.txns.current_seq())),
+            row("max_allocated_key", MetricValue::U64(max_key.unwrap_or(0))),
         ]
     });
-    let w = Arc::downgrade(shared);
-    shared.metrics.register("gc", move || {
-        let Some(s) = w.upgrade() else {
-            return Vec::new();
-        };
-        let g = s.txns.gc_stats();
-        vec![
-            ("ticks".into(), MetricValue::U64(g.ticks)),
-            (
-                "entries_consumed".into(),
-                MetricValue::U64(g.entries_consumed),
-            ),
-            ("keys_deleted".into(), MetricValue::U64(g.keys_deleted)),
-            (
-                "block_runs_deleted".into(),
-                MetricValue::U64(g.block_runs_deleted),
-            ),
-            ("batches".into(), MetricValue::U64(g.batches)),
-            ("requests".into(), MetricValue::U64(g.requests)),
-            ("requests_saved".into(), MetricValue::U64(g.requests_saved)),
-            ("retried_keys".into(), MetricValue::U64(g.retried_keys)),
-            ("requeues".into(), MetricValue::U64(g.requeues)),
-            ("in_flight_peak".into(), MetricValue::U64(g.in_flight_peak)),
-            ("batch_le_1".into(), MetricValue::U64(g.batch_hist[0])),
-            ("batch_le_10".into(), MetricValue::U64(g.batch_hist[1])),
-            ("batch_le_100".into(), MetricValue::U64(g.batch_hist[2])),
-            ("batch_le_1000".into(), MetricValue::U64(g.batch_hist[3])),
-            ("batch_gt_1000".into(), MetricValue::U64(g.batch_hist[4])),
-        ]
+    register_source(shared, "gc", |s| s.txns.gc_stats().metric_rows());
+    register_source(shared, "pack", |s| {
+        let composites = s.txns.composites();
+        let mean_live = composites.mean_live_fraction_at_claim();
+        let mut rows = s.pack_stats.snapshot().metric_rows();
+        rows.extend(composites.stats().metric_rows());
+        rows.extend([
+            row("mean_live_fraction_at_claim", MetricValue::F64(mean_live)),
+            row("composites_live", MetricValue::U64(composites.len() as u64)),
+        ]);
+        rows
     });
-    let w = Arc::downgrade(shared);
-    shared.metrics.register("pack", move || {
-        let Some(s) = w.upgrade() else {
-            return Vec::new();
-        };
-        let p = &s.pack_stats;
-        let c = s.txns.composites().stats();
-        let mean_live_at_claim = if c.compaction_claims == 0 {
-            0.0
-        } else {
-            c.live_fraction_sum_at_claim / c.compaction_claims as f64
-        };
-        vec![
-            (
-                "objects_written".into(),
-                MetricValue::U64(p.objects_written.load(Ordering::Relaxed)),
-            ),
-            (
-                "pages_packed".into(),
-                MetricValue::U64(p.pages_packed.load(Ordering::Relaxed)),
-            ),
-            (
-                "pack_le_1".into(),
-                MetricValue::U64(p.pack_hist[0].load(Ordering::Relaxed)),
-            ),
-            (
-                "pack_le_4".into(),
-                MetricValue::U64(p.pack_hist[1].load(Ordering::Relaxed)),
-            ),
-            (
-                "pack_le_16".into(),
-                MetricValue::U64(p.pack_hist[2].load(Ordering::Relaxed)),
-            ),
-            (
-                "pack_le_64".into(),
-                MetricValue::U64(p.pack_hist[3].load(Ordering::Relaxed)),
-            ),
-            (
-                "pack_gt_64".into(),
-                MetricValue::U64(p.pack_hist[4].load(Ordering::Relaxed)),
-            ),
-            (
-                "ranged_gets".into(),
-                MetricValue::U64(p.ranged_gets.load(Ordering::Relaxed)),
-            ),
-            (
-                "bytes_over_read".into(),
-                MetricValue::U64(p.bytes_over_read.load(Ordering::Relaxed)),
-            ),
-            (
-                "compactions".into(),
-                MetricValue::U64(p.compactions.load(Ordering::Relaxed)),
-            ),
-            (
-                "compaction_rewritten".into(),
-                MetricValue::U64(p.compaction_rewritten.load(Ordering::Relaxed)),
-            ),
-            (
-                "compaction_stale_skips".into(),
-                MetricValue::U64(p.compaction_stale_skips.load(Ordering::Relaxed)),
-            ),
-            (
-                "composites_registered".into(),
-                MetricValue::U64(c.registered),
-            ),
-            ("member_deaths".into(), MetricValue::U64(c.member_deaths)),
-            ("composites_reclaimed".into(), MetricValue::U64(c.reclaimed)),
-            (
-                "unknown_member_frees".into(),
-                MetricValue::U64(c.unknown_member_frees),
-            ),
-            (
-                "compaction_claims".into(),
-                MetricValue::U64(c.compaction_claims),
-            ),
-            (
-                "mean_live_fraction_at_claim".into(),
-                MetricValue::F64(mean_live_at_claim),
-            ),
-            (
-                "composites_live".into(),
-                MetricValue::U64(s.txns.composites().len() as u64),
-            ),
-        ]
+    register_source(shared, "io", |s| s.io_stats.snapshot().metric_rows());
+    register_source(shared, "scan", |s| {
+        let mut rows = s.scan_stats.snapshot().metric_rows();
+        rows.push(row(
+            "gets_saved",
+            MetricValue::U64(s.scan_stats.gets_saved()),
+        ));
+        rows
     });
-    let w = Arc::downgrade(shared);
-    shared.metrics.register("io", move || {
-        let Some(s) = w.upgrade() else {
-            return Vec::new();
-        };
-        let io = s.io_stats.snapshot();
-        vec![
-            ("submitted".into(), MetricValue::U64(io.submitted)),
-            ("completed".into(), MetricValue::U64(io.completed)),
-            ("failed".into(), MetricValue::U64(io.failed)),
-            (
-                "queue_depth_peak".into(),
-                MetricValue::U64(io.queue_depth_peak),
-            ),
-            ("in_flight_peak".into(), MetricValue::U64(io.in_flight_peak)),
-            (
-                "coalesced_appends".into(),
-                MetricValue::U64(io.coalesced_appends),
-            ),
-        ]
-    });
-    let w = Arc::downgrade(shared);
-    shared.metrics.register("scan", move || {
-        let Some(s) = w.upgrade() else {
-            return Vec::new();
-        };
-        let sc = &s.scan_stats;
-        vec![
-            (
-                "groups_considered".into(),
-                MetricValue::U64(ScanStats::get(&sc.groups_considered)),
-            ),
-            (
-                "groups_zone_pruned".into(),
-                MetricValue::U64(ScanStats::get(&sc.groups_zone_pruned)),
-            ),
-            (
-                "groups_partition_pruned".into(),
-                MetricValue::U64(ScanStats::get(&sc.groups_partition_pruned)),
-            ),
-            (
-                "groups_empty_mask".into(),
-                MetricValue::U64(ScanStats::get(&sc.groups_empty_mask)),
-            ),
-            (
-                "groups_materialized".into(),
-                MetricValue::U64(ScanStats::get(&sc.groups_materialized)),
-            ),
-            (
-                "predicate_pages_read".into(),
-                MetricValue::U64(ScanStats::get(&sc.predicate_pages_read)),
-            ),
-            (
-                "projection_pages_read".into(),
-                MetricValue::U64(ScanStats::get(&sc.projection_pages_read)),
-            ),
-            (
-                "projection_pages_skipped".into(),
-                MetricValue::U64(ScanStats::get(&sc.projection_pages_skipped)),
-            ),
-            (
-                "pruned_pages_skipped".into(),
-                MetricValue::U64(ScanStats::get(&sc.pruned_pages_skipped)),
-            ),
-            (
-                "dict_filter_columns".into(),
-                MetricValue::U64(ScanStats::get(&sc.dict_filter_columns)),
-            ),
-            ("gets_saved".into(), MetricValue::U64(sc.gets_saved())),
-        ]
-    });
-    let w = Arc::downgrade(shared);
     // Always registered — with the durable log off the upload counters
-    // read zero — so observability schema checks see a stable key set.
-    shared.metrics.register("log", move || {
-        let Some(s) = w.upgrade() else {
-            return Vec::new();
-        };
-        let dl = s
-            .durable_log
-            .as_ref()
-            .map(|d| d.stats())
-            .unwrap_or_default();
-        let r = &s.log_recovery;
-        vec![
-            ("records".into(), MetricValue::U64(s.log.len() as u64)),
-            ("appends".into(), MetricValue::U64(dl.appends)),
-            ("puts".into(), MetricValue::U64(dl.puts)),
-            ("put_failures".into(), MetricValue::U64(dl.put_failures)),
-            (
-                "coalesced_records".into(),
-                MetricValue::U64(dl.coalesced_records),
-            ),
-            (
-                "gathered_batches".into(),
-                MetricValue::U64(dl.gathered_batches),
-            ),
-            ("max_batch".into(), MetricValue::U64(dl.max_batch)),
-            ("deregistered".into(), MetricValue::U64(dl.deregistered)),
-            (
-                "recovery_gets".into(),
-                MetricValue::U64(r.recovery_gets.load(Ordering::Relaxed)),
-            ),
-            (
-                "replayed_records".into(),
-                MetricValue::U64(r.replayed_records.load(Ordering::Relaxed)),
-            ),
-            (
-                "reconciled_drops".into(),
-                MetricValue::U64(r.reconciled_drops.load(Ordering::Relaxed)),
-            ),
-        ]
+    // read zero — so the exported key set is stable.
+    register_source(shared, "log", |s| {
+        let mut rows = vec![row("records", MetricValue::U64(s.log.len() as u64))];
+        let durable = s.durable_log.as_ref().map(|d| d.stats());
+        rows.extend(durable.unwrap_or_default().metric_rows());
+        rows.extend(s.log_recovery.snapshot().metric_rows());
+        rows
     });
 }
 
 /// The flattened metric values for one device's request ledger (current
 /// epoch only — the archived epochs are reachable via
 /// `DeviceStats::lifetime_snapshot`).
-fn device_metric_values(
-    snap: &iq_objectstore::StatsSnapshot,
-    epoch: u64,
-) -> Vec<(String, MetricValue)> {
+fn device_rows(stats: &iq_objectstore::DeviceStats) -> Rows {
+    let snap = stats.snapshot();
     vec![
-        (
-            "total_requests".into(),
-            MetricValue::U64(snap.total_requests),
-        ),
-        ("retries".into(), MetricValue::U64(snap.retries)),
-        ("backoff_nanos".into(), MetricValue::U64(snap.backoff_nanos)),
-        ("prefix_count".into(), MetricValue::U64(snap.prefix_count)),
-        (
-            "effective_prefixes".into(),
+        row("total_requests", MetricValue::U64(snap.total_requests)),
+        row("retries", MetricValue::U64(snap.retries)),
+        row("backoff_nanos", MetricValue::U64(snap.backoff_nanos)),
+        row("prefix_count", MetricValue::U64(snap.prefix_count)),
+        row(
+            "effective_prefixes",
             MetricValue::F64(snap.effective_prefixes),
         ),
-        (
-            "mean_queue_depth".into(),
-            MetricValue::F64(snap.mean_queue_depth),
-        ),
-        (
-            "max_queue_depth".into(),
-            MetricValue::U64(snap.max_queue_depth),
-        ),
-        ("epoch".into(), MetricValue::U64(epoch)),
+        row("mean_queue_depth", MetricValue::F64(snap.mean_queue_depth)),
+        row("max_queue_depth", MetricValue::U64(snap.max_queue_depth)),
+        row("epoch", MetricValue::U64(stats.epoch())),
     ]
 }
 
 /// Register a cloud store's device ledger under `dbspace.<id>`.
 fn register_store_metrics(registry: &MetricsRegistry, id: u32, store: &Arc<ObjectStoreSim>) {
     let s = Arc::clone(store);
-    registry.register(&format!("dbspace.{id}"), move || {
-        device_metric_values(&s.stats.snapshot(), s.stats.epoch())
-    });
+    registry.register(&format!("dbspace.{id}"), move || device_rows(&s.stats));
 }
 
 /// Register a block device's ledger under `dbspace.<id>`.
 fn register_device_metrics(registry: &MetricsRegistry, id: u32, device: &Arc<BlockDeviceSim>) {
     let d = Arc::clone(device);
-    registry.register(&format!("dbspace.{id}"), move || {
-        device_metric_values(&d.stats.snapshot(), d.stats.epoch())
-    });
+    registry.register(&format!("dbspace.{id}"), move || device_rows(&d.stats));
 }
 
 /// Register the OCM's Table-5 counters and its SSD ledger.
@@ -586,21 +327,18 @@ fn register_ocm_metrics(registry: &MetricsRegistry, ocm: &Arc<Ocm>, ssd: &Arc<Bl
     let o = Arc::clone(ocm);
     registry.register("ocm", move || {
         let snap = o.stats_snapshot();
-        vec![
-            ("hits".into(), MetricValue::U64(snap.hits)),
-            ("misses".into(), MetricValue::U64(snap.misses)),
-            ("evictions".into(), MetricValue::U64(snap.evictions)),
-            ("hit_rate".into(), MetricValue::F64(snap.hit_rate())),
-            (
-                "cached_objects".into(),
+        let mut rows = snap.metric_rows();
+        rows.extend([
+            row("hit_rate", MetricValue::F64(snap.hit_rate())),
+            row(
+                "cached_objects",
                 MetricValue::U64(o.cached_objects() as u64),
             ),
-        ]
+        ]);
+        rows
     });
     let d = Arc::clone(ssd);
-    registry.register("ocm_ssd", move || {
-        device_metric_values(&d.stats.snapshot(), d.stats.epoch())
-    });
+    registry.register("ocm_ssd", move || device_rows(&d.stats));
 }
 
 /// RAII release of compaction claims (see [`Database::compact_tick`]):
@@ -702,7 +440,7 @@ impl Database {
         let keygen = mx.coordinator.keygen()?;
         let txns = TransactionManager::new(Arc::clone(&log), Some(keygen));
         txns.set_gc_workers(config.scan_workers.max(1));
-        let io_stats = Arc::new(IoStats::new());
+        let io_stats = Arc::new(IoStats::default());
         txns.set_io_stats(Arc::clone(&io_stats));
         let reactor = Arc::new(IoReactor::with_stats(Arc::clone(&io_stats)));
         let durable_log = match config.group_commit {
@@ -742,7 +480,7 @@ impl Database {
             metrics: Arc::new(MetricsRegistry::new()),
             pack_stats: PackStats::default(),
             io_stats,
-            scan_stats: Arc::new(ScanStats::new()),
+            scan_stats: Arc::new(ScanStats::default()),
             reactor,
             durable_log,
             log_recovery: LogRecoveryStats::default(),
@@ -1621,7 +1359,7 @@ impl Database {
             let keygen = mx.coordinator.keygen()?;
             let txns = TransactionManager::new(Arc::clone(&durable.log), Some(keygen));
             txns.set_gc_workers(config.scan_workers.max(1));
-            let io_stats = Arc::new(IoStats::new());
+            let io_stats = Arc::new(IoStats::default());
             txns.set_io_stats(Arc::clone(&io_stats));
             let reactor = Arc::new(IoReactor::with_stats(Arc::clone(&io_stats)));
             // The log object survived the restart; rebind (or drop) its
@@ -1695,7 +1433,7 @@ impl Database {
                 metrics: Arc::new(MetricsRegistry::new()),
                 pack_stats: PackStats::default(),
                 io_stats,
-                scan_stats: Arc::new(ScanStats::new()),
+                scan_stats: Arc::new(ScanStats::default()),
                 reactor,
                 durable_log,
                 log_recovery: LogRecoveryStats::default(),

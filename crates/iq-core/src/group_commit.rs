@@ -65,29 +65,32 @@ thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Lifetime counters for the durable log (the group-commit ablation
-/// reads these).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DurableLogStats {
-    /// Records handed to the sink.
-    pub appends: u64,
-    /// PUT requests issued against the log store (logical uploads; each
-    /// may cost several attempts through the retry layer).
-    pub puts: u64,
-    /// Commit records that reached durability inside a multi-record
-    /// batch (i.e. whose PUT was saved by coalescing).
-    pub coalesced_records: u64,
-    /// Gathered batches of size > 1.
-    pub gathered_batches: u64,
-    /// Largest batch uploaded.
-    pub max_batch: u64,
-    /// Uploads that failed past the retry budget — each failed PUT
-    /// counts exactly once, however many retry attempts it burned, and
-    /// its failure propagated to every commit it covered.
-    pub put_failures: u64,
-    /// Commit windows that closed without an append (aborted commits,
-    /// resolved as [`CommitOutcome::Deregistered`]).
-    pub deregistered: u64,
+iq_common::counters! {
+    /// Lifetime counters for the durable log (the group-commit ablation
+    /// reads these).
+    pub struct DurableLogCounters {
+        /// Records handed to the sink.
+        sum appends,
+        /// PUT requests issued against the log store (logical uploads;
+        /// each may cost several attempts through the retry layer).
+        sum puts,
+        /// Commit records that reached durability inside a multi-record
+        /// batch (i.e. whose PUT was saved by coalescing).
+        sum coalesced_records,
+        /// Gathered batches of size > 1.
+        sum gathered_batches,
+        /// Largest batch uploaded.
+        max max_batch,
+        /// Uploads that failed past the retry budget — each failed PUT
+        /// counts exactly once, however many retry attempts it burned,
+        /// and its failure propagated to every commit it covered.
+        sum put_failures,
+        /// Commit windows that closed without an append (aborted commits,
+        /// resolved as [`CommitOutcome::Deregistered`]).
+        sum deregistered,
+    }
+    /// Point-in-time copy of [`DurableLogCounters`].
+    pub struct DurableLogStats;
 }
 
 /// How one commit's durability window resolved (see module docs).
@@ -155,13 +158,7 @@ pub struct DurableLog {
     io_stats: Option<Arc<IoStats>>,
     gather: Mutex<GatherState>,
     cv: Condvar,
-    appends: AtomicU64,
-    puts: AtomicU64,
-    coalesced_records: AtomicU64,
-    gathered_batches: AtomicU64,
-    max_batch: AtomicU64,
-    put_failures: AtomicU64,
-    deregistered: AtomicU64,
+    stats: DurableLogCounters,
 }
 
 impl DurableLog {
@@ -218,13 +215,7 @@ impl DurableLog {
             io_stats,
             gather: Mutex::new(GatherState::default()),
             cv: Condvar::new(),
-            appends: AtomicU64::new(0),
-            puts: AtomicU64::new(0),
-            coalesced_records: AtomicU64::new(0),
-            gathered_batches: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
-            put_failures: AtomicU64::new(0),
-            deregistered: AtomicU64::new(0),
+            stats: DurableLogCounters::default(),
         }
     }
 
@@ -258,15 +249,7 @@ impl DurableLog {
 
     /// Counter snapshot.
     pub fn stats(&self) -> DurableLogStats {
-        DurableLogStats {
-            appends: self.appends.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            coalesced_records: self.coalesced_records.load(Ordering::Relaxed),
-            gathered_batches: self.gathered_batches.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
-            put_failures: self.put_failures.load(Ordering::Relaxed),
-            deregistered: self.deregistered.load(Ordering::Relaxed),
-        }
+        self.stats.snapshot()
     }
 
     /// Open a commit window for the calling thread. In `Coalesced` mode
@@ -300,11 +283,13 @@ impl DurableLog {
     /// One PUT for a gathered batch.
     fn upload_batch(&self, batch: &[LogRecord]) -> IqResult<()> {
         let res = self.put(batch);
-        self.max_batch
+        self.stats
+            .max_batch
             .fetch_max(batch.len() as u64, Ordering::Relaxed);
         if batch.len() > 1 {
-            self.gathered_batches.fetch_add(1, Ordering::Relaxed);
-            self.coalesced_records
+            self.stats.gathered_batches.fetch_add(1, Ordering::Relaxed);
+            self.stats
+                .coalesced_records
                 .fetch_add(batch.len() as u64 - 1, Ordering::Relaxed);
             if let Some(stats) = &self.io_stats {
                 stats.note_coalesced_batch(batch.len());
@@ -319,12 +304,12 @@ impl DurableLog {
     /// once and returns it.
     fn put(&self, records: &[LogRecord]) -> IqResult<()> {
         let key = ObjectKey::from_offset(self.next_key.fetch_add(1, Ordering::Relaxed));
-        self.puts.fetch_add(1, Ordering::Relaxed);
+        self.stats.puts.fetch_add(1, Ordering::Relaxed);
         let body = encode(records);
         self.retry
             .put(&self.store, key, body.into())
             .inspect_err(|_| {
-                self.put_failures.fetch_add(1, Ordering::Relaxed);
+                self.stats.put_failures.fetch_add(1, Ordering::Relaxed);
             })
     }
 
@@ -384,7 +369,7 @@ impl DurableLog {
 
 impl LogSink for DurableLog {
     fn append(&self, record: &LogRecord, _lsn: u64) -> IqResult<()> {
-        self.appends.fetch_add(1, Ordering::Relaxed);
+        self.stats.appends.fetch_add(1, Ordering::Relaxed);
         let gather = self.mode == GroupCommitMode::Coalesced
             && matches!(record, LogRecord::Commit { .. })
             && ARMED.with(|a| a.replace(false));
@@ -413,7 +398,7 @@ impl Drop for CommitGuard {
         if ARMED.with(|a| a.replace(false)) {
             // The window closed without an append: an aborted commit,
             // resolved as `CommitOutcome::Deregistered`.
-            log.deregistered.fetch_add(1, Ordering::Relaxed);
+            log.stats.deregistered.fetch_add(1, Ordering::Relaxed);
             log.gather.lock().expected -= 1;
             log.cv.notify_all();
         }

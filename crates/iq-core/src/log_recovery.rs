@@ -25,6 +25,7 @@
 //! [`TxnLog`]: iq_txn::TxnLog
 
 use std::collections::HashSet;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use iq_common::{IqError, IqResult};
@@ -33,17 +34,32 @@ use iq_txn::{LogRecord, TxnLog};
 
 use crate::group_commit::LOG_KEY_BASE;
 
-/// What one reconciliation pass did ([`crate::Database::reopen`] copies
-/// this into the `log.*` metrics source).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// GETs issued against the log store (one per live log object).
-    pub recovery_gets: u64,
-    /// Records reconstructed from the durable stream.
-    pub replayed_records: u64,
-    /// In-memory commit records dropped because their transaction was
-    /// not durably committed.
-    pub reconciled_drops: u64,
+iq_common::counters! {
+    /// What durable-log recovery did at the most recent `reopen`, exported
+    /// under `log.*` (zeros on a fresh create).
+    pub struct LogRecoveryStats {
+        /// GETs issued against the log store (one per live log object).
+        gauge recovery_gets,
+        /// Records reconstructed from the durable stream.
+        gauge replayed_records,
+        /// In-memory commit records dropped because their transaction was
+        /// not durably committed.
+        gauge reconciled_drops,
+    }
+    /// What one reconciliation pass did ([`crate::Database::reopen`]
+    /// records it into [`LogRecoveryStats`]).
+    pub struct RecoveryReport;
+}
+
+impl LogRecoveryStats {
+    pub(crate) fn record(&self, report: &RecoveryReport) {
+        self.recovery_gets
+            .store(report.recovery_gets, Ordering::Relaxed);
+        self.replayed_records
+            .store(report.replayed_records, Ordering::Relaxed);
+        self.reconciled_drops
+            .store(report.reconciled_drops, Ordering::Relaxed);
+    }
 }
 
 /// Read every log object in key order and reconstruct the durable

@@ -235,7 +235,7 @@ impl FlushSink for Pager {
                 pages: members.len() as u64,
                 bytes,
             });
-            self.shared.pack_stats.note_pack(members.len(), bytes);
+            self.shared.pack_stats.note_pack(members.len());
             // Map each member and do the RF/RB bookkeeping; the member
             // layout goes to the composite registry at commit via the
             // transaction's pack record.

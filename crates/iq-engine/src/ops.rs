@@ -1314,7 +1314,7 @@ mod tests {
 
     #[test]
     fn partitioned_ops_account_submission_depth() {
-        let stats = Arc::new(IoStats::new());
+        let stats = Arc::new(IoStats::default());
         let exec = OpExec::new(4).with_stats(Arc::clone(&stats));
         let input = reassociation_canary(256);
         let m = WorkMeter::new();

@@ -238,7 +238,7 @@ mod tests {
 
     #[test]
     fn regrowth_tracks_reactor_headroom() {
-        let stats = Arc::new(IoStats::new());
+        let stats = Arc::new(IoStats::default());
         // Depth target 4 → hard ceiling 16 groups.
         let ctrl = PrefetchAdmission::for_depth(4).with_io(Arc::clone(&stats), 4);
         assert_eq!(ctrl.limit(), 16, "fault-free start is the hard ceiling");
@@ -277,7 +277,7 @@ mod tests {
         // Saturated reactor, but no throttle ever fired: the budget stays
         // at the hard ceiling (growth gating must not become a new way to
         // shed on a healthy store).
-        let stats = Arc::new(IoStats::new());
+        let stats = Arc::new(IoStats::default());
         stats.note_submit_batch(64);
         let ctrl = PrefetchAdmission::for_depth(8).with_io(stats, 8);
         assert_eq!(ctrl.limit(), 32);

@@ -10,61 +10,50 @@
 //! [`ScanStats`] to every scan via
 //! [`PageStore::scan_stats`](crate::store::PageStore::scan_stats).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-/// Monotone counters accumulated across every scan through one store.
-///
-/// All loads/stores are `Relaxed`: the counters are independent tallies,
-/// never used to synchronize.
-#[derive(Debug, Default)]
-pub struct ScanStats {
-    /// Row groups examined by the pruning front end.
-    pub groups_considered: AtomicU64,
-    /// Groups pruned by a per-column zone entry.
-    pub groups_zone_pruned: AtomicU64,
-    /// Groups pruned by the partition-tag fallback (zone was `None`).
-    pub groups_partition_pruned: AtomicU64,
-    /// Surviving groups whose predicate mask came up all-false, so their
-    /// projection pages were never read.
-    pub groups_empty_mask: AtomicU64,
-    /// Surviving groups with at least one matching row (projection pages
-    /// materialized).
-    pub groups_materialized: AtomicU64,
-    /// Data pages demand-read because a predicate needed them.
-    pub predicate_pages_read: AtomicU64,
-    /// Data pages demand-read for projection only.
-    pub projection_pages_read: AtomicU64,
-    /// Projection pages skipped by all-false masks (late-materialization
-    /// GETs saved).
-    pub projection_pages_skipped: AtomicU64,
-    /// Pages (predicate and projection) never touched because their whole
-    /// group was pruned.
-    pub pruned_pages_skipped: AtomicU64,
-    /// String columns evaluated in the dictionary code domain, summed
-    /// over scans.
-    pub dict_filter_columns: AtomicU64,
+iq_common::counters! {
+    /// Monotone counters accumulated across every scan through one store.
+    ///
+    /// All loads/stores are `Relaxed`: the counters are independent
+    /// tallies, never used to synchronize.
+    pub struct ScanStats {
+        /// Row groups examined by the pruning front end.
+        sum groups_considered,
+        /// Groups pruned by a per-column zone entry.
+        sum groups_zone_pruned,
+        /// Groups pruned by the partition-tag fallback (zone was `None`).
+        sum groups_partition_pruned,
+        /// Surviving groups whose predicate mask came up all-false, so
+        /// their projection pages were never read.
+        sum groups_empty_mask,
+        /// Surviving groups with at least one matching row (projection
+        /// pages materialized).
+        sum groups_materialized,
+        /// Data pages demand-read because a predicate needed them.
+        sum predicate_pages_read,
+        /// Data pages demand-read for projection only.
+        sum projection_pages_read,
+        /// Projection pages skipped by all-false masks
+        /// (late-materialization GETs saved).
+        sum projection_pages_skipped,
+        /// Pages (predicate and projection) never touched because their
+        /// whole group was pruned.
+        sum pruned_pages_skipped,
+        /// String columns evaluated in the dictionary code domain, summed
+        /// over scans.
+        sum dict_filter_columns,
+    }
+    /// Point-in-time copy of [`ScanStats`].
+    pub struct ScanStatsSnapshot;
 }
 
 impl ScanStats {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bump `counter` by `n`.
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Read one counter.
-    pub fn get(counter: &AtomicU64) -> u64 {
-        counter.load(Ordering::Relaxed)
-    }
-
     /// Total data-page GETs avoided: whole-group pruning plus
     /// late-materialization skips.
     pub fn gets_saved(&self) -> u64 {
-        Self::get(&self.pruned_pages_skipped) + Self::get(&self.projection_pages_skipped)
+        self.pruned_pages_skipped.load(Ordering::Relaxed)
+            + self.projection_pages_skipped.load(Ordering::Relaxed)
     }
 }
 
@@ -74,11 +63,11 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let s = ScanStats::new();
-        ScanStats::add(&s.pruned_pages_skipped, 4);
-        ScanStats::add(&s.projection_pages_skipped, 3);
-        ScanStats::add(&s.projection_pages_read, 2);
-        assert_eq!(ScanStats::get(&s.projection_pages_read), 2);
+        let s = ScanStats::default();
+        s.pruned_pages_skipped.fetch_add(4, Ordering::Relaxed);
+        s.projection_pages_skipped.fetch_add(3, Ordering::Relaxed);
+        s.projection_pages_read.fetch_add(2, Ordering::Relaxed);
+        assert_eq!(s.snapshot().projection_pages_read, 2);
         assert_eq!(s.gets_saved(), 7);
     }
 }

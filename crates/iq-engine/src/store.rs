@@ -78,7 +78,7 @@ impl MemPageStore {
     /// sink, as the full cloud stack does.
     pub fn with_scan_stats() -> Self {
         Self {
-            scan_stats: Some(std::sync::Arc::new(crate::scanstats::ScanStats::new())),
+            scan_stats: Some(std::sync::Arc::new(crate::scanstats::ScanStats::default())),
             ..Self::default()
         }
     }

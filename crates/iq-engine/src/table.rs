@@ -23,7 +23,6 @@ use crate::expr::Expr;
 use crate::hg::HgIndex;
 use crate::meter::{cost, WorkMeter};
 use crate::prefetch::{PrefetchAdmission, PREFETCH_DEPTH};
-use crate::scanstats::ScanStats;
 use crate::store::PageStore;
 use crate::value::{DataType, Value};
 use crate::zonemap::ZoneEntry;
@@ -293,21 +292,20 @@ impl TableMeta {
                 true
             });
             if let Some(s) = &stats {
-                ScanStats::add(&s.groups_considered, 1);
+                s.groups_considered.fetch_add(1, Ordering::Relaxed);
             }
             if survives {
                 survivors.push(g);
             } else {
                 if let Some(s) = &stats {
-                    ScanStats::add(
-                        if by_partition {
-                            &s.groups_partition_pruned
-                        } else {
-                            &s.groups_zone_pruned
-                        },
-                        1,
-                    );
-                    ScanStats::add(&s.pruned_pages_skipped, needed.len() as u64);
+                    let pruned = if by_partition {
+                        &s.groups_partition_pruned
+                    } else {
+                        &s.groups_zone_pruned
+                    };
+                    pruned.fetch_add(1, Ordering::Relaxed);
+                    s.pruned_pages_skipped
+                        .fetch_add(needed.len() as u64, Ordering::Relaxed);
                 }
                 trace::emit(EventKind::GroupPruned {
                     table: self.id.0 as u64,
@@ -349,7 +347,8 @@ impl TableMeta {
         };
         if !dict_cols.is_empty() {
             if let Some(s) = &stats {
-                ScanStats::add(&s.dict_filter_columns, dict_cols.len() as u64);
+                s.dict_filter_columns
+                    .fetch_add(dict_cols.len() as u64, Ordering::Relaxed);
             }
         }
         let eval_pred: Option<Cow<'_, Expr>> = pred.map(|p| {
@@ -474,14 +473,12 @@ impl TableMeta {
                 };
                 meter.add(cost::SCAN * col.len() as u64);
                 if let Some(s) = &stats {
-                    ScanStats::add(
-                        if pred_cols.binary_search(&c).is_ok() {
-                            &s.predicate_pages_read
-                        } else {
-                            &s.projection_pages_read
-                        },
-                        1,
-                    );
+                    let read = if pred_cols.binary_search(&c).is_ok() {
+                        &s.predicate_pages_read
+                    } else {
+                        &s.projection_pages_read
+                    };
+                    read.fetch_add(1, Ordering::Relaxed);
                 }
                 bodies.push(page.body);
                 cols1.push(col);
@@ -500,8 +497,9 @@ impl TableMeta {
                 // worker count.
                 if mask.as_ref().is_some_and(|m| !m.iter().any(|&b| b)) {
                     if let Some(s) = &stats {
-                        ScanStats::add(&s.groups_empty_mask, 1);
-                        ScanStats::add(&s.projection_pages_skipped, phase2.len() as u64);
+                        s.groups_empty_mask.fetch_add(1, Ordering::Relaxed);
+                        s.projection_pages_skipped
+                            .fetch_add(phase2.len() as u64, Ordering::Relaxed);
                     }
                     trace::emit(EventKind::LateMatSkip {
                         table: self.id.0 as u64,
@@ -521,7 +519,7 @@ impl TableMeta {
                     ));
                 }
                 if let Some(s) = &stats {
-                    ScanStats::add(&s.groups_materialized, 1);
+                    s.groups_materialized.fetch_add(1, Ordering::Relaxed);
                 }
                 // Mask known and non-empty: issue this group's projection
                 // pages (same first-group demand-read discipline as
@@ -541,7 +539,7 @@ impl TableMeta {
                 let col = decode_column(&page.body, self.dicts[c].as_ref())?;
                 meter.add(cost::SCAN * col.len() as u64);
                 if let Some(s) = &stats {
-                    ScanStats::add(&s.projection_pages_read, 1);
+                    s.projection_pages_read.fetch_add(1, Ordering::Relaxed);
                 }
                 cols2.push(col);
             }
@@ -949,11 +947,11 @@ mod tests {
         assert_eq!(out.len(), 1);
         // Group 0 materialized; the other three skipped their projection
         // pages (price and region: k is a predicate input).
-        assert_eq!(ScanStats::get(&stats.groups_materialized), 1);
-        assert_eq!(ScanStats::get(&stats.groups_empty_mask), 3);
-        assert_eq!(ScanStats::get(&stats.projection_pages_skipped), 6);
-        assert_eq!(ScanStats::get(&stats.predicate_pages_read), 4);
-        assert_eq!(ScanStats::get(&stats.projection_pages_read), 2);
+        assert_eq!(stats.snapshot().groups_materialized, 1);
+        assert_eq!(stats.snapshot().groups_empty_mask, 3);
+        assert_eq!(stats.snapshot().projection_pages_skipped, 6);
+        assert_eq!(stats.snapshot().predicate_pages_read, 4);
+        assert_eq!(stats.snapshot().projection_pages_read, 2);
         assert_eq!(stats.gets_saved(), 6);
     }
 
@@ -968,7 +966,7 @@ mod tests {
         let out = meta.scan(&store, &[0, 2], Some(&pred), &meter).unwrap();
         assert_eq!(out.len(), 100);
         assert!(out.col(1).strs().iter().all(|s| s.as_ref() == "EAST"));
-        assert_eq!(ScanStats::get(&stats.dict_filter_columns), 1);
+        assert_eq!(stats.snapshot().dict_filter_columns, 1);
         // A literal absent from the dictionary matches nothing but keeps
         // the projected arity.
         let meter = WorkMeter::new();
@@ -1018,8 +1016,8 @@ mod tests {
         // survives (partition 1 spans [100, 199]) and filters to empty.
         assert!(out.is_empty());
         let stats = stats_store.scan_stats().unwrap();
-        assert_eq!(ScanStats::get(&stats.groups_partition_pruned), 1);
-        assert_eq!(ScanStats::get(&stats.groups_zone_pruned), 0);
+        assert_eq!(stats.snapshot().groups_partition_pruned, 1);
+        assert_eq!(stats.snapshot().groups_zone_pruned, 0);
         // Without tags, nothing can be pruned: both groups are read.
         let meter2 = WorkMeter::new();
         let untagged = MemPageStore::with_scan_stats();
@@ -1039,8 +1037,8 @@ mod tests {
         }
         meta3.scan(&untagged, &[0], Some(&pred), &meter2).unwrap();
         let stats = untagged.scan_stats().unwrap();
-        assert_eq!(ScanStats::get(&stats.groups_partition_pruned), 0);
-        assert_eq!(ScanStats::get(&stats.groups_zone_pruned), 0);
+        assert_eq!(stats.snapshot().groups_partition_pruned, 0);
+        assert_eq!(stats.snapshot().groups_zone_pruned, 0);
         // `meta`'s hand-tagged copy agrees with the straight scan result.
         let meter3 = WorkMeter::new();
         let out = meta.scan(&store, &[0], Some(&pred), &meter3).unwrap();
@@ -1075,8 +1073,8 @@ mod tests {
         assert_eq!(out.len(), 2);
         let stats = store.scan_stats().unwrap();
         // The all-false group pruned; the mixed group stayed conservative.
-        assert_eq!(ScanStats::get(&stats.groups_zone_pruned), 1);
-        assert_eq!(ScanStats::get(&stats.groups_materialized), 1);
+        assert_eq!(stats.snapshot().groups_zone_pruned, 1);
+        assert_eq!(stats.snapshot().groups_materialized, 1);
     }
 
     #[test]

@@ -460,7 +460,7 @@ mod tests {
 
     #[test]
     fn reactor_accounts_descriptor_traffic() {
-        let stats = Arc::new(IoStats::new());
+        let stats = Arc::new(IoStats::default());
         let reactor = Arc::new(IoReactor::with_stats(Arc::clone(&stats)));
         let sim = Arc::new(ObjectStoreSim::new(ConsistencyConfig::strong()));
         let store = ReactorStore::new(Arc::clone(&reactor), Arc::clone(&sim) as _);

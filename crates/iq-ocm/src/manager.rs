@@ -9,7 +9,7 @@
 //! GET (§4/§5's motivation for the OCM).
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -47,26 +47,19 @@ pub struct OcmConfig {
     pub retry: RetryPolicy,
 }
 
-/// Hit/miss/eviction counters — exactly the Table 5 columns.
-#[derive(Debug, Default)]
-pub struct OcmStats {
-    /// Objects served from the SSD cache.
-    pub hits: AtomicU64,
-    /// Objects read through to the object store.
-    pub misses: AtomicU64,
-    /// Cache entries evicted to make room.
-    pub evictions: AtomicU64,
-}
-
-/// A snapshot of [`OcmStats`].
-#[derive(Debug, Clone, Copy, Serialize, PartialEq, Eq)]
-pub struct OcmStatsSnapshot {
-    /// Cache hits.
-    pub hits: u64,
-    /// Cache misses.
-    pub misses: u64,
-    /// Evictions.
-    pub evictions: u64,
+iq_common::counters! {
+    /// Hit/miss/eviction counters — exactly the Table 5 columns.
+    pub struct OcmStats {
+        /// Objects served from the SSD cache.
+        sum hits,
+        /// Objects read through to the object store.
+        sum misses,
+        /// Cache entries evicted to make room.
+        sum evictions,
+    }
+    /// A snapshot of [`OcmStats`].
+    #[derive(Serialize)]
+    pub struct OcmStatsSnapshot;
 }
 
 impl OcmStatsSnapshot {
@@ -228,11 +221,7 @@ impl Ocm {
 
     /// Snapshot the Table 5 counters.
     pub fn stats_snapshot(&self) -> OcmStatsSnapshot {
-        OcmStatsSnapshot {
-            hits: self.stats.hits.load(Ordering::Relaxed),
-            misses: self.stats.misses.load(Ordering::Relaxed),
-            evictions: self.stats.evictions.load(Ordering::Relaxed),
-        }
+        self.stats.snapshot()
     }
 
     /// Read an object: SSD cache hit, or read-through with asynchronous

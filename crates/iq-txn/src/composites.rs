@@ -19,6 +19,7 @@
 //! old object becomes fully dead and reclaimable.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::Ordering::Relaxed;
 
 use iq_common::ObjectKey;
 use parking_lot::Mutex;
@@ -48,27 +49,28 @@ impl CompositeInfo {
     }
 }
 
-/// Aggregate counters the `pack.*` metrics source exports.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CompositeStats {
-    /// Composites ever registered.
-    pub registered: u64,
-    /// Member deaths recorded.
-    pub member_deaths: u64,
-    /// Composites handed to the GC as fully dead.
-    pub reclaimed: u64,
-    /// Member frees naming a key the registry does not know. Should stay
-    /// zero; a nonzero count means a composite leaked past recovery.
-    pub unknown_member_frees: u64,
-    /// Registrations rejected for having an empty member slice. Should
-    /// stay zero; a nonzero count means a writer tried to register a
-    /// composite with no members (see [`CompositeRegistry::register`]).
-    pub rejected_empty: u64,
-    /// Sum of live fractions observed when compaction claimed a composite
-    /// (divide by `compaction_claims` for the mean the metrics export).
-    pub live_fraction_sum_at_claim: f64,
-    /// Compaction claims handed out.
-    pub compaction_claims: u64,
+iq_common::counters! {
+    /// Aggregate counters the `pack.*` metrics source exports.
+    pub struct CompositeCounters {
+        /// Composites ever registered.
+        sum composites_registered,
+        /// Member deaths recorded.
+        sum member_deaths,
+        /// Composites handed to the GC as fully dead.
+        sum composites_reclaimed,
+        /// Member frees naming a key the registry does not know. Should
+        /// stay zero; a nonzero count means a composite leaked past
+        /// recovery.
+        sum unknown_member_frees,
+        /// Registrations rejected for having an empty member slice. Should
+        /// stay zero; a nonzero count means a writer tried to register a
+        /// composite with no members (see [`CompositeRegistry::register`]).
+        sum rejected_empty (unexported),
+        /// Compaction claims handed out.
+        sum compaction_claims,
+    }
+    /// Point-in-time copy of [`CompositeCounters`].
+    pub struct CompositeStats;
 }
 
 /// Registry of live composite objects. Internally synchronized; shared by
@@ -76,6 +78,7 @@ pub struct CompositeStats {
 #[derive(Debug, Default)]
 pub struct CompositeRegistry {
     inner: Mutex<Inner>,
+    stats: CompositeCounters,
 }
 
 #[derive(Debug, Default)]
@@ -83,7 +86,9 @@ struct Inner {
     /// Keyed by composite-key offset; `BTreeMap` so every scan
     /// (candidates, fully-dead sweep) is deterministic.
     composites: BTreeMap<u64, CompositeInfo>,
-    stats: CompositeStats,
+    /// Sum of live fractions observed when compaction claimed a
+    /// composite (see [`CompositeRegistry::mean_live_fraction_at_claim`]).
+    live_fraction_sum_at_claim: f64,
 }
 
 impl CompositeRegistry {
@@ -96,7 +101,7 @@ impl CompositeRegistry {
     /// commit records that may already be registered.
     ///
     /// An empty member slice is rejected (counted in
-    /// [`CompositeStats::rejected_empty`]): a member-less composite would
+    /// [`CompositeCounters::rejected_empty`]): a member-less composite would
     /// be *vacuously* fully dead — every death bit in an empty vector is
     /// trivially set — so the very next GC tick would delete a
     /// just-written object out from under its writer.
@@ -116,7 +121,7 @@ impl CompositeRegistry {
     pub fn register(&self, key: ObjectKey, members: &[PackMember]) {
         let mut g = self.inner.lock();
         if members.is_empty() {
-            g.stats.rejected_empty += 1;
+            self.stats.rejected_empty.fetch_add(1, Relaxed);
             return;
         }
         if g.composites.contains_key(&key.offset()) {
@@ -138,7 +143,7 @@ impl CompositeRegistry {
                 compacting: false,
             },
         );
-        g.stats.registered += 1;
+        self.stats.composites_registered.fetch_add(1, Relaxed);
     }
 
     /// Record the death of the member at byte `offset` of composite
@@ -153,16 +158,16 @@ impl CompositeRegistry {
     pub fn mark_member_dead(&self, key_offset: u64, offset: u32) {
         let mut g = self.inner.lock();
         let Some(info) = g.composites.get_mut(&key_offset) else {
-            g.stats.unknown_member_frees += 1;
+            self.stats.unknown_member_frees.fetch_add(1, Relaxed);
             return;
         };
         let Some(i) = info.members.iter().position(|m| m.offset == offset) else {
-            g.stats.unknown_member_frees += 1;
+            self.stats.unknown_member_frees.fetch_add(1, Relaxed);
             return;
         };
         if !info.dead[i] {
             info.dead[i] = true;
-            g.stats.member_deaths += 1;
+            self.stats.member_deaths.fetch_add(1, Relaxed);
         }
     }
 
@@ -186,7 +191,7 @@ impl CompositeRegistry {
         let mut g = self.inner.lock();
         for key in keys {
             if g.composites.remove(&key.offset()).is_some() {
-                g.stats.reclaimed += 1;
+                self.stats.composites_reclaimed.fetch_add(1, Relaxed);
             }
         }
     }
@@ -239,8 +244,8 @@ impl CompositeRegistry {
                 .get_mut(&off)
                 .expect("claimed key present")
                 .compacting = true;
-            g.stats.live_fraction_sum_at_claim += frac;
-            g.stats.compaction_claims += 1;
+            g.live_fraction_sum_at_claim += frac;
+            self.stats.compaction_claims.fetch_add(1, Relaxed);
         }
         out
     }
@@ -277,7 +282,17 @@ impl CompositeRegistry {
 
     /// Aggregate counters.
     pub fn stats(&self) -> CompositeStats {
-        self.inner.lock().stats
+        self.stats.snapshot()
+    }
+
+    /// Mean live fraction of the composites compaction has claimed (0
+    /// before the first claim).
+    pub fn mean_live_fraction_at_claim(&self) -> f64 {
+        let sum = self.inner.lock().live_fraction_sum_at_claim;
+        match self.stats.compaction_claims.load(Relaxed) {
+            0 => 0.0,
+            claims => sum / claims as f64,
+        }
     }
 }
 
@@ -315,7 +330,7 @@ mod tests {
         assert_eq!(reg.fully_dead_pending(), vec![key(5)]);
         reg.note_reclaimed(&dead);
         assert!(reg.is_empty());
-        assert_eq!(reg.stats().reclaimed, 1);
+        assert_eq!(reg.stats().composites_reclaimed, 1);
     }
 
     #[test]
@@ -324,7 +339,7 @@ mod tests {
         let members = [member(1, 0), member(2, 512)];
         reg.register(key(9), &members);
         reg.register(key(9), &members); // recovery replay
-        assert_eq!(reg.stats().registered, 1);
+        assert_eq!(reg.stats().composites_registered, 1);
         reg.mark_member_dead(9, 0);
         reg.mark_member_dead(9, 0);
         assert_eq!(reg.stats().member_deaths, 1);
@@ -366,7 +381,7 @@ mod tests {
         reg.note_reclaimed(&[key(1)]);
         let stats = reg.stats();
         assert_eq!(stats.compaction_claims, 1);
-        assert!((stats.live_fraction_sum_at_claim - 0.25).abs() < 1e-9);
+        assert!((reg.mean_live_fraction_at_claim() - 0.25).abs() < 1e-9);
     }
 
     #[test]
@@ -380,11 +395,11 @@ mod tests {
         assert!(reg.fully_dead_pending().is_empty());
         assert!(!reg.has_fully_dead());
         assert_eq!(reg.stats().rejected_empty, 1);
-        assert_eq!(reg.stats().registered, 0);
+        assert_eq!(reg.stats().composites_registered, 0);
         // A later, well-formed registration under the same key works.
         reg.register(key(7), &[member(1, 0)]);
         assert_eq!(reg.len(), 1);
-        assert_eq!(reg.stats().registered, 1);
+        assert_eq!(reg.stats().composites_registered, 1);
     }
 
     #[test]

@@ -207,95 +207,49 @@ struct CommittedTxn {
     done: PageSet,
 }
 
-/// Cumulative counters of the batched GC pipeline, exposed as the `gc.*`
-/// metrics source. All plain atomics: read via [`GcStats::snapshot`].
-#[derive(Debug, Default)]
-pub struct GcStats {
-    /// Drain passes that found at least one eligible entry.
-    pub ticks: AtomicU64,
-    /// Chain entries fully reclaimed and dropped.
-    pub entries_consumed: AtomicU64,
-    /// Cloud keys deleted (first-time only; requeued retries do not
-    /// re-count pages that already succeeded).
-    pub keys_deleted: AtomicU64,
-    /// Conventional block runs released (pre-coalescing granularity).
-    pub block_runs_deleted: AtomicU64,
-    /// Multi-object delete batches submitted to the worker pool.
-    pub batches: AtomicU64,
-    /// Simulated store requests issued (keys + blocks, incl. retries).
-    pub requests: AtomicU64,
-    /// Requests avoided versus the per-key baseline (one request per
-    /// submitted key).
-    pub requests_saved: AtomicU64,
-    /// Keys re-driven by failed-subset retries.
-    pub retried_keys: AtomicU64,
-    /// Entries pushed back onto the chain after a partial failure.
-    pub requeues: AtomicU64,
-    /// Peak delete batches in flight across all passes.
-    pub in_flight_peak: AtomicU64,
-    /// Batch-size histogram: ≤1, ≤10, ≤100, ≤1000, >1000 keys.
-    pub batch_hist: [AtomicU64; 5],
-}
-
-/// Plain-value copy of [`GcStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GcStatsSnapshot {
-    /// See [`GcStats::ticks`].
-    pub ticks: u64,
-    /// See [`GcStats::entries_consumed`].
-    pub entries_consumed: u64,
-    /// See [`GcStats::keys_deleted`].
-    pub keys_deleted: u64,
-    /// See [`GcStats::block_runs_deleted`].
-    pub block_runs_deleted: u64,
-    /// See [`GcStats::batches`].
-    pub batches: u64,
-    /// See [`GcStats::requests`].
-    pub requests: u64,
-    /// See [`GcStats::requests_saved`].
-    pub requests_saved: u64,
-    /// See [`GcStats::retried_keys`].
-    pub retried_keys: u64,
-    /// See [`GcStats::requeues`].
-    pub requeues: u64,
-    /// See [`GcStats::in_flight_peak`].
-    pub in_flight_peak: u64,
-    /// See [`GcStats::batch_hist`].
-    pub batch_hist: [u64; 5],
+iq_common::counters! {
+    /// Cumulative counters of the batched GC pipeline, exposed as the
+    /// `gc.*` metrics source.
+    pub struct GcStats {
+        /// Drain passes that found at least one eligible entry.
+        sum ticks,
+        /// Chain entries fully reclaimed and dropped.
+        sum entries_consumed,
+        /// Cloud keys deleted (first-time only; requeued retries do not
+        /// re-count pages that already succeeded).
+        sum keys_deleted,
+        /// Conventional block runs released (pre-coalescing granularity).
+        sum block_runs_deleted,
+        /// Multi-object delete batches submitted to the worker pool.
+        sum batches,
+        /// Simulated store requests issued (keys + blocks, incl. retries).
+        sum requests,
+        /// Requests avoided versus the per-key baseline (one request per
+        /// submitted key).
+        sum requests_saved,
+        /// Keys re-driven by failed-subset retries.
+        sum retried_keys,
+        /// Entries pushed back onto the chain after a partial failure.
+        sum requeues,
+        /// Peak delete batches in flight across all passes.
+        max in_flight_peak,
+        /// Batch-size histogram, in keys per batch.
+        hist batch_hist [
+            batch_le_1 <= 1,
+            batch_le_10 <= 10,
+            batch_le_100 <= 100,
+            batch_le_1000 <= 1000;
+            batch_gt_1000
+        ],
+    }
+    /// Plain-value copy of [`GcStats`].
+    pub struct GcStatsSnapshot;
 }
 
 impl GcStats {
     fn note_batch(&self, keys: usize) {
-        let bucket = match keys {
-            0..=1 => 0,
-            2..=10 => 1,
-            11..=100 => 2,
-            101..=1000 => 3,
-            _ => 4,
-        };
-        self.batch_hist[bucket].fetch_add(1, Ordering::Relaxed);
+        self.batch_hist.record(keys as u64);
         self.batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Read every counter at once.
-    pub fn snapshot(&self) -> GcStatsSnapshot {
-        let mut hist = [0u64; 5];
-        for (out, src) in hist.iter_mut().zip(self.batch_hist.iter()) {
-            *out = src.load(Ordering::Relaxed);
-        }
-        GcStatsSnapshot {
-            ticks: self.ticks.load(Ordering::Relaxed),
-            entries_consumed: self.entries_consumed.load(Ordering::Relaxed),
-            keys_deleted: self.keys_deleted.load(Ordering::Relaxed),
-            block_runs_deleted: self.block_runs_deleted.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            requests_saved: self.requests_saved.load(Ordering::Relaxed),
-            retried_keys: self.retried_keys.load(Ordering::Relaxed),
-            requeues: self.requeues.load(Ordering::Relaxed),
-            in_flight_peak: self.in_flight_peak.load(Ordering::Relaxed),
-            batch_hist: hist,
-        }
     }
 }
 
@@ -1035,7 +989,7 @@ mod tests {
         tm.gc_tick(&sink).unwrap();
         assert!(sink.cloud.lock().contains(900));
         assert!(tm.composites().is_empty());
-        assert_eq!(tm.composites().stats().reclaimed, 1);
+        assert_eq!(tm.composites().stats().composites_reclaimed, 1);
     }
 
     #[test]

@@ -163,7 +163,15 @@ fn random_histories_pack_equivalent_with_fewer_puts() {
             !registry.has_fully_dead(),
             "seed {seed}: fully-dead composites left pending after drain"
         );
-        assert_eq!(base.db.shared().txns.composites().stats().registered, 0);
+        assert_eq!(
+            base.db
+                .shared()
+                .txns
+                .composites()
+                .stats()
+                .composites_registered,
+            0
+        );
 
         // A compaction pass must be semantically invisible too.
         packed.db.compact_tick(0.7, 10_000).unwrap();
@@ -197,7 +205,7 @@ fn random_histories_pack_equivalent_with_fewer_puts() {
         packed.db.commit(txn).unwrap();
         packed.db.gc_drain().unwrap();
         let after = registry.stats();
-        let final_composites = after.registered - before.registered;
+        let final_composites = after.composites_registered - before.composites_registered;
         assert_eq!(
             registry.len() as u64,
             final_composites,
