@@ -415,19 +415,72 @@ pub struct Database {
 }
 
 impl Database {
-    /// Create a fresh database.
+    /// Create a fresh database: the open of an empty durable state (a
+    /// blank system dbspace, an empty log, no backends). The empty
+    /// catalog is persisted from birth, so a database that never ran DDL
+    /// still reopens.
     pub fn create(config: DatabaseConfig) -> IqResult<Self> {
         let block = config.storage.block_size();
-        let system = Arc::new(BlockDeviceSim::new(
-            block,
-            config.system_bytes / block as u64,
-        ));
+        let durable = DurableState {
+            system: Arc::new(BlockDeviceSim::new(
+                block,
+                config.system_bytes / block as u64,
+            )),
+            log: Arc::new(TxnLog::new()),
+            cloud_stores: HashMap::new(),
+            block_devices: HashMap::new(),
+            log_store: None,
+        };
+        let db = Self::open(durable, Catalog::default(), config)?;
+        db.shared
+            .catalog
+            .lock()
+            .save(db.shared.system.as_ref(), BlockNum(0))?;
+        Ok(db)
+    }
+
+    /// Reopen a database from its durable state: reload the catalog,
+    /// rebuild dbspaces and tables from their definitions and identity
+    /// objects, recover the Object Key Generator by log replay (§3.2),
+    /// restore conventional freelists from the last checkpoint plus
+    /// committed RF/RB bitmaps (§3.3), and garbage collect every
+    /// outstanding active-set range — transactions in flight at power-off
+    /// can never commit.
+    pub fn reopen(durable: DurableState, config: DatabaseConfig) -> IqResult<Self> {
+        let catalog = Catalog::load(durable.system.as_ref(), BlockNum(0))?;
+        Self::open(durable, catalog, config)
+    }
+
+    /// The one construction path: build the volatile shell around the
+    /// durable parts, then rebuild everything `catalog` and the log
+    /// describe. Over an empty state (what [`Self::create`] passes) every
+    /// replay step is a no-op.
+    fn open(durable: DurableState, catalog: Catalog, config: DatabaseConfig) -> IqResult<Self> {
+        let DurableState {
+            system,
+            log,
+            cloud_stores,
+            block_devices,
+            log_store,
+        } = durable;
+        // When the previous life mirrored the log durably, the durable
+        // stream is authoritative for commits: reconcile the in-memory
+        // log against it BEFORE any replay consumer runs (OKG recovery,
+        // freelist restore, composite rebuild) — an un-durable commit
+        // must not resurrect.
+        let recovery = match &log_store {
+            Some(store) => crate::log_recovery::reconcile(&log, store)?,
+            None => crate::log_recovery::RecoveryReport::default(),
+        };
+        let block = config.storage.block_size();
         let ssd = Arc::new(BlockDeviceSim::new(
             block,
             (config.ocm_bytes / block as u64).max(1),
         ));
-        let log = Arc::new(TxnLog::new());
         let mx = Multiplex::new(Arc::clone(&log), config.writers, config.readers);
+        // Recover the key generator from the (reconciled) log before
+        // serving; over an empty log this is a fresh generator.
+        mx.coordinator.recover();
         let immediate_sink = Arc::new(DatabaseSink::new());
         let snapshots = config.retention.map(|r| Arc::new(SnapshotManager::new(r)));
         let gc_sink: Arc<dyn DeletionSink> = match &snapshots {
@@ -443,16 +496,49 @@ impl Database {
         let io_stats = Arc::new(IoStats::default());
         txns.set_io_stats(Arc::clone(&io_stats));
         let reactor = Arc::new(IoReactor::with_stats(Arc::clone(&io_stats)));
+        // The log object may have survived a restart; bind (or drop) its
+        // durability sink to match this instance's configuration.
         let durable_log = match config.group_commit {
-            GroupCommitMode::Off => None,
+            GroupCommitMode::Off => {
+                log.clear_sink();
+                None
+            }
             mode => {
-                let dl = Arc::new(DurableLog::new(
-                    mode,
-                    Arc::clone(&reactor),
-                    Some(Arc::clone(&io_stats)),
-                    config.retry,
-                    config.log_fault,
-                ));
+                let dl = match &log_store {
+                    Some(sim) => {
+                        // The log store survived: open a fresh stats epoch
+                        // (like the other surviving backends, so
+                        // post-recovery metrics exclude pre-crash log
+                        // traffic) and resume key allocation above its
+                        // live keys.
+                        sim.stats.begin_epoch();
+                        Arc::new(DurableLog::over_store(
+                            mode,
+                            Arc::clone(&reactor),
+                            Some(Arc::clone(&io_stats)),
+                            config.retry,
+                            config.log_fault,
+                            Arc::clone(sim),
+                        ))
+                    }
+                    None => {
+                        let dl = Arc::new(DurableLog::new(
+                            mode,
+                            Arc::clone(&reactor),
+                            Some(Arc::clone(&io_stats)),
+                            config.retry,
+                            config.log_fault,
+                        ));
+                        // Uploads enabled over a log with history (a
+                        // reopen that turns them on): mirror it so the
+                        // durable stream stays a superset of memory
+                        // (otherwise the next reconciliation would drop
+                        // every pre-existing commit). An empty log issues
+                        // no PUT.
+                        dl.bootstrap(&log.all_records())?;
+                        dl
+                    }
+                };
                 log.set_sink(Arc::clone(&dl) as Arc<dyn iq_txn::LogSink>);
                 Some(dl)
             }
@@ -473,7 +559,7 @@ impl Database {
             snapshots,
             gc_sink,
             immediate_sink,
-            catalog: Mutex::new(Catalog::default()),
+            catalog: Mutex::new(catalog),
             system,
             log,
             config,
@@ -485,12 +571,141 @@ impl Database {
             durable_log,
             log_recovery: LogRecoveryStats::default(),
         });
+        shared.log_recovery.record(&recovery);
         register_core_metrics(&shared);
-        Ok(Self {
+        let db = Self {
             shared,
             next_space: AtomicU32::new(1),
             next_table: AtomicU32::new(1),
-        })
+        };
+
+        // Rebuild dbspaces from their catalog definitions over the
+        // surviving backends. Each backend (and its request ledger)
+        // survives the restart; open a fresh stats epoch so post-restart
+        // traffic is accounted separately while the archived epochs
+        // remain reachable via `lifetime_snapshot`.
+        let defs: Vec<DbSpaceDef> = db
+            .shared
+            .catalog
+            .lock()
+            .get_section("dbspaces")?
+            .unwrap_or_default();
+        for def in &defs {
+            let id = DbSpaceId(def.id);
+            let storage = iq_storage::StorageConfig {
+                page_size: def.page_size,
+            };
+            if def.cloud {
+                let store = cloud_stores
+                    .get(&def.id)
+                    .cloned()
+                    .ok_or_else(|| IqError::Catalog(format!("missing store for {}", def.name)))?;
+                store.stats.begin_epoch();
+                db.attach_cloud(id, &def.name, storage, store);
+            } else {
+                let device = block_devices
+                    .get(&def.id)
+                    .cloned()
+                    .ok_or_else(|| IqError::Catalog(format!("missing device for {}", def.name)))?;
+                device.stats.begin_epoch();
+                db.attach_conventional(id, &def.name, storage, device)?;
+            }
+            db.next_space.fetch_max(def.id + 1, Ordering::Relaxed);
+        }
+
+        // Restore conventional freelists: last checkpoint image, then
+        // committed RF/RB bitmaps replayed in order (§3.3).
+        let mut checkpoint_freelists: Option<std::collections::BTreeMap<u32, Vec<u8>>> = None;
+        let mut commit_bitmaps = Vec::new();
+        for record in db.shared.log.replay_suffix() {
+            match record {
+                iq_txn::LogRecord::Checkpoint { freelists, .. } => {
+                    checkpoint_freelists = Some(freelists);
+                    commit_bitmaps.clear();
+                }
+                iq_txn::LogRecord::Commit { rfrb, .. } => commit_bitmaps.push(rfrb),
+                iq_txn::LogRecord::AllocateRange { .. } => {}
+            }
+        }
+        if let Some(images) = checkpoint_freelists {
+            for (space_id, image) in images {
+                if let Ok(space) = db.shared.space(DbSpaceId(space_id)) {
+                    space.restore_freelist(&image)?;
+                }
+            }
+        }
+        for rfrb in &commit_bitmaps {
+            for (space_id, start, count) in rfrb.rb.iter_blocks() {
+                if let Ok(space) = db.shared.space(space_id) {
+                    space.with_freelist(|f| f.mark_used(start, count as u32));
+                }
+            }
+            for (space_id, start, count) in rfrb.rf.iter_blocks() {
+                if let Ok(space) = db.shared.space(space_id) {
+                    space.with_freelist(|f| f.free(start, count as u32));
+                }
+            }
+        }
+
+        // Rebuild the composite registry from the same suffix: member
+        // layouts first (registration precedes any member free in commit
+        // order), then the recorded member deaths. A composite the
+        // pre-crash GC already reclaimed re-registers, re-dies, and hits
+        // an idempotent delete — self-healing, never a double free.
+        let composites = db.shared.txns.composites();
+        for rfrb in &commit_bitmaps {
+            for (&off, members) in &rfrb.packs {
+                composites.register(ObjectKey::from_offset(off), members);
+            }
+        }
+        for rfrb in &commit_bitmaps {
+            for (&off, ranges) in &rfrb.rf.members {
+                for &(member_off, _len) in ranges {
+                    composites.mark_member_dead(off, member_off);
+                }
+            }
+        }
+
+        // Rebuild tables from definitions + identity objects.
+        let table_defs: Vec<TableDef> = db
+            .shared
+            .catalog
+            .lock()
+            .get_section("tables")?
+            .unwrap_or_default();
+        for def in &table_defs {
+            let identity = db.shared.catalog.lock().identity(TableId(def.id)).copied();
+            let ts = match identity {
+                Some(identity) => {
+                    Arc::new(TableStore::from_identity(identity, DbSpaceId(def.space)))
+                }
+                None => Arc::new(TableStore::new(
+                    TableId(def.id),
+                    DbSpaceId(def.space),
+                    db.shared.config.blockmap_fanout,
+                )),
+            };
+            db.shared.tables.write().insert(def.id, ts);
+            db.next_table.fetch_max(def.id + 1, Ordering::Relaxed);
+        }
+
+        // Transactions in flight at power-off can never commit: poll
+        // every node's outstanding active set for garbage (§3.3,
+        // Table 1 clock 150 — applied to every node on full restart).
+        let keygen = db.shared.mx.coordinator.keygen()?;
+        let nodes: Vec<u32> = (0..=db.shared.config.writers + db.shared.config.readers).collect();
+        for node in nodes {
+            let set = keygen.drain_active_set(NodeId(node));
+            for off in set.iter() {
+                let key = ObjectKey::from_offset(off);
+                for space in db.shared.spaces.read().values() {
+                    if space.is_cloud() && space.poll_delete(key)? {
+                        break;
+                    }
+                }
+            }
+        }
+        Ok(db)
     }
 
     /// Shared state (for advanced integrations and tests).
@@ -527,58 +742,8 @@ impl Database {
     ) -> IqResult<DbSpaceId> {
         let id = DbSpaceId(self.next_space.fetch_add(1, Ordering::Relaxed));
         let store = Arc::new(ObjectStoreSim::new(self.shared.config.consistency.clone()));
-        // With a fault plan configured, every path to the store — dbspace
-        // reads/writes, OCM uploads, GC polls — goes through the injector.
-        // The concrete sim stays reachable for invariant checks.
-        let backend: Arc<dyn ObjectBackend> = match self.shared.config.fault {
-            Some(plan) => {
-                let injector = Arc::new(FaultInjector::new(
-                    store.clone() as Arc<dyn ObjectBackend>,
-                    plan,
-                ));
-                self.shared
-                    .fault_injectors
-                    .write()
-                    .insert(id.0, Arc::clone(&injector));
-                injector
-            }
-            None => store.clone(),
-        };
-        // Route every path to this store — dbspace reads/writes, OCM
-        // uploads, GC deletes — through the shared submission/completion
-        // reactor. Retry attempts submit individual descriptors, so
-        // per-descriptor fault injection falls out of the stacking
-        // order: retry → reactor → injector → sim.
-        let backend: Arc<dyn ObjectBackend> =
-            Arc::new(ReactorStore::new(Arc::clone(&self.shared.reactor), backend));
-        let space = Arc::new(DbSpace::cloud(
-            id,
-            name,
-            storage,
-            Arc::clone(&backend),
-            self.shared.config.retry,
-        ));
-        self.shared.spaces.write().insert(id.0, Arc::clone(&space));
-        self.shared.cloud_stores.write().insert(id.0, store.clone());
-        register_store_metrics(&self.shared.metrics, id.0, &store);
-        self.shared.immediate_sink.register(space);
+        self.attach_cloud(id, name, storage, store);
         self.persist_ddl()?;
-        let mut ocm = self.shared.ocm.lock();
-        if ocm.is_none() && self.shared.config.ocm_bytes > 0 {
-            let bound = Arc::new(Ocm::new(
-                Arc::clone(&self.shared.ssd),
-                backend,
-                OcmConfig {
-                    // Slots fit this dbspace's sealed page images.
-                    slot_bytes: storage.page_size,
-                    capacity_bytes: self.shared.config.ocm_bytes,
-                    retry: self.shared.config.retry,
-                    protected_fraction: self.shared.config.cache_protected_fraction,
-                },
-            ));
-            register_ocm_metrics(&self.shared.metrics, &bound, &self.shared.ssd);
-            *ocm = Some((id, bound));
-        }
         Ok(id)
     }
 
@@ -595,21 +760,91 @@ impl Database {
         let id = DbSpaceId(self.next_space.fetch_add(1, Ordering::Relaxed));
         let block = self.shared.config.storage.block_size();
         let device = Arc::new(BlockDeviceSim::new(block, bytes / block as u64));
-        let space = Arc::new(DbSpace::conventional(
-            id,
-            name,
-            self.shared.config.storage,
-            device.clone(),
-        )?);
-        self.shared
-            .block_devices
-            .write()
-            .insert(id.0, device.clone());
-        register_device_metrics(&self.shared.metrics, id.0, &device);
-        self.shared.spaces.write().insert(id.0, Arc::clone(&space));
-        self.shared.immediate_sink.register(space);
+        self.attach_conventional(id, name, self.shared.config.storage, device)?;
         self.persist_ddl()?;
         Ok(id)
+    }
+
+    /// Attach a cloud dbspace over `store`, new or surviving a restart.
+    /// The client-side stack is always built fresh (a restarted node is
+    /// healed). The first cloud dbspace gets the OCM bound to it, cold.
+    fn attach_cloud(
+        &self,
+        id: DbSpaceId,
+        name: &str,
+        storage: iq_storage::StorageConfig,
+        store: Arc<ObjectStoreSim>,
+    ) {
+        let shared = &self.shared;
+        shared.cloud_stores.write().insert(id.0, Arc::clone(&store));
+        register_store_metrics(&shared.metrics, id.0, &store);
+        // With a fault plan configured, every path to the store — dbspace
+        // reads/writes, OCM uploads, GC polls — goes through the injector.
+        // The concrete sim stays reachable for invariant checks.
+        let backend: Arc<dyn ObjectBackend> = match shared.config.fault {
+            Some(plan) => {
+                let injector = Arc::new(FaultInjector::new(store, plan));
+                shared
+                    .fault_injectors
+                    .write()
+                    .insert(id.0, Arc::clone(&injector));
+                injector
+            }
+            None => store,
+        };
+        // Route every path to this store — dbspace reads/writes, OCM
+        // uploads, GC deletes — through the shared submission/completion
+        // reactor. Retry attempts submit individual descriptors, so
+        // per-descriptor fault injection falls out of the stacking
+        // order: retry → reactor → injector → sim.
+        let backend: Arc<dyn ObjectBackend> =
+            Arc::new(ReactorStore::new(Arc::clone(&shared.reactor), backend));
+        let space = Arc::new(DbSpace::cloud(
+            id,
+            name,
+            storage,
+            Arc::clone(&backend),
+            shared.config.retry,
+        ));
+        shared.spaces.write().insert(id.0, Arc::clone(&space));
+        shared.immediate_sink.register(space);
+        let mut ocm = shared.ocm.lock();
+        if ocm.is_none() && shared.config.ocm_bytes > 0 {
+            let bound = Arc::new(Ocm::new(
+                Arc::clone(&shared.ssd),
+                backend,
+                OcmConfig {
+                    // Slots fit this dbspace's sealed page images.
+                    slot_bytes: storage.page_size,
+                    capacity_bytes: shared.config.ocm_bytes,
+                    retry: shared.config.retry,
+                    protected_fraction: shared.config.cache_protected_fraction,
+                },
+            ));
+            register_ocm_metrics(&shared.metrics, &bound, &shared.ssd);
+            *ocm = Some((id, bound));
+        }
+    }
+
+    /// Attach a conventional dbspace over `device`, new or surviving a
+    /// restart.
+    fn attach_conventional(
+        &self,
+        id: DbSpaceId,
+        name: &str,
+        storage: iq_storage::StorageConfig,
+        device: Arc<BlockDeviceSim>,
+    ) -> IqResult<()> {
+        let space = Arc::new(DbSpace::conventional(id, name, storage, device.clone())?);
+        let shared = &self.shared;
+        shared
+            .block_devices
+            .write()
+            .insert(id.0, Arc::clone(&device));
+        register_device_metrics(&shared.metrics, id.0, &device);
+        shared.spaces.write().insert(id.0, Arc::clone(&space));
+        shared.immediate_sink.register(space);
+        Ok(())
     }
 
     /// The object store behind a cloud dbspace (stats, invariant checks).
@@ -1316,327 +1551,6 @@ impl Database {
                 .as_ref()
                 .map(|dl| Arc::clone(dl.sim())),
         }
-    }
-
-    /// Reopen a database from its durable state: reload the catalog,
-    /// rebuild dbspaces and tables from their definitions and identity
-    /// objects, recover the Object Key Generator by log replay (§3.2),
-    /// restore conventional freelists from the last checkpoint plus
-    /// committed RF/RB bitmaps (§3.3), and garbage collect every
-    /// outstanding active-set range — transactions in flight at power-off
-    /// can never commit.
-    pub fn reopen(durable: DurableState, config: DatabaseConfig) -> IqResult<Self> {
-        let catalog = Catalog::load(durable.system.as_ref(), BlockNum(0))?;
-        // When the previous life mirrored the log durably, the durable
-        // stream is authoritative for commits: reconcile the in-memory
-        // log against it BEFORE any replay consumer runs (OKG recovery,
-        // freelist restore, composite rebuild) — an un-durable commit
-        // must not resurrect.
-        let recovery = match &durable.log_store {
-            Some(store) => crate::log_recovery::reconcile(&durable.log, store)?,
-            None => crate::log_recovery::RecoveryReport::default(),
-        };
-        let db = {
-            // Build the volatile shell around the durable parts.
-            let block = config.storage.block_size();
-            let ssd = Arc::new(BlockDeviceSim::new(
-                block,
-                (config.ocm_bytes / block as u64).max(1),
-            ));
-            let mx = Multiplex::new(Arc::clone(&durable.log), config.writers, config.readers);
-            // Recover the key generator from the (reconciled) log
-            // before serving.
-            mx.coordinator.recover();
-            let immediate_sink = Arc::new(DatabaseSink::new());
-            let snapshots = config.retention.map(|r| Arc::new(SnapshotManager::new(r)));
-            let gc_sink: Arc<dyn DeletionSink> = match &snapshots {
-                Some(sm) => Arc::new(RetainingSink::new(
-                    Arc::clone(sm),
-                    Arc::clone(&immediate_sink) as Arc<dyn DeletionSink>,
-                )),
-                None => Arc::clone(&immediate_sink) as Arc<dyn DeletionSink>,
-            };
-            let keygen = mx.coordinator.keygen()?;
-            let txns = TransactionManager::new(Arc::clone(&durable.log), Some(keygen));
-            txns.set_gc_workers(config.scan_workers.max(1));
-            let io_stats = Arc::new(IoStats::default());
-            txns.set_io_stats(Arc::clone(&io_stats));
-            let reactor = Arc::new(IoReactor::with_stats(Arc::clone(&io_stats)));
-            // The log object survived the restart; rebind (or drop) its
-            // durability sink to match this instance's configuration.
-            let durable_log = match config.group_commit {
-                GroupCommitMode::Off => {
-                    durable.log.clear_sink();
-                    None
-                }
-                mode => {
-                    let dl = match &durable.log_store {
-                        Some(sim) => {
-                            // The log store survived: open a fresh stats
-                            // epoch (like the other surviving backends,
-                            // so post-recovery metrics exclude pre-crash
-                            // log traffic) and resume key allocation
-                            // above its live keys.
-                            sim.stats.begin_epoch();
-                            Arc::new(DurableLog::over_store(
-                                mode,
-                                Arc::clone(&reactor),
-                                Some(Arc::clone(&io_stats)),
-                                config.retry,
-                                config.log_fault,
-                                Arc::clone(sim),
-                            ))
-                        }
-                        None => {
-                            let dl = Arc::new(DurableLog::new(
-                                mode,
-                                Arc::clone(&reactor),
-                                Some(Arc::clone(&io_stats)),
-                                config.retry,
-                                config.log_fault,
-                            ));
-                            // Uploads newly enabled over a log with
-                            // history: mirror it so the durable stream
-                            // stays a superset of memory (otherwise the
-                            // next reconciliation would drop every
-                            // pre-existing commit).
-                            dl.bootstrap(&durable.log.all_records())?;
-                            dl
-                        }
-                    };
-                    durable
-                        .log
-                        .set_sink(Arc::clone(&dl) as Arc<dyn iq_txn::LogSink>);
-                    Some(dl)
-                }
-            };
-            let shared = Arc::new(Shared {
-                buffer: BufferManager::with_options(config.buffer_bytes, buffer_options(&config)),
-                txns,
-                mx,
-                meter: Arc::new(WorkMeter::new()),
-                ocm: Mutex::new(None),
-                ssd,
-                spaces: RwLock::new(HashMap::new()),
-                cloud_stores: RwLock::new(HashMap::new()),
-                fault_injectors: RwLock::new(HashMap::new()),
-                block_devices: RwLock::new(HashMap::new()),
-                tables: RwLock::new(HashMap::new()),
-                key_caches: Mutex::new(HashMap::new()),
-                snapshots,
-                gc_sink,
-                immediate_sink,
-                catalog: Mutex::new(catalog),
-                system: durable.system,
-                log: durable.log,
-                config,
-                metrics: Arc::new(MetricsRegistry::new()),
-                pack_stats: PackStats::default(),
-                io_stats,
-                scan_stats: Arc::new(ScanStats::default()),
-                reactor,
-                durable_log,
-                log_recovery: LogRecoveryStats::default(),
-            });
-            shared.log_recovery.record(&recovery);
-            register_core_metrics(&shared);
-            Self {
-                shared,
-                next_space: AtomicU32::new(1),
-                next_table: AtomicU32::new(1),
-            }
-        };
-
-        // Rebuild dbspaces from their catalog definitions over the
-        // surviving backends.
-        let defs: Vec<DbSpaceDef> = db
-            .shared
-            .catalog
-            .lock()
-            .get_section("dbspaces")?
-            .unwrap_or_default();
-        for def in &defs {
-            let storage = iq_storage::StorageConfig {
-                page_size: def.page_size,
-            };
-            let space: Arc<DbSpace> =
-                if def.cloud {
-                    let store = durable.cloud_stores.get(&def.id).cloned().ok_or_else(|| {
-                        IqError::Catalog(format!("missing store for {}", def.name))
-                    })?;
-                    // The backend (and its request ledger) survives the
-                    // restart; open a fresh stats epoch so post-restart
-                    // traffic is accounted separately while the archived
-                    // epochs remain reachable via `lifetime_snapshot`.
-                    store.stats.begin_epoch();
-                    db.shared.cloud_stores.write().insert(def.id, store.clone());
-                    register_store_metrics(&db.shared.metrics, def.id, &store);
-                    // The durable store survives the restart; the client-side
-                    // injector is rebuilt fresh (a restarted node is healed).
-                    let backend: Arc<dyn ObjectBackend> = match db.shared.config.fault {
-                        Some(plan) => {
-                            let injector =
-                                Arc::new(FaultInjector::new(store as Arc<dyn ObjectBackend>, plan));
-                            db.shared
-                                .fault_injectors
-                                .write()
-                                .insert(def.id, Arc::clone(&injector));
-                            injector
-                        }
-                        None => store,
-                    };
-                    // Same stacking as at create: retry → reactor →
-                    // injector → sim.
-                    let backend: Arc<dyn ObjectBackend> =
-                        Arc::new(ReactorStore::new(Arc::clone(&db.shared.reactor), backend));
-                    Arc::new(DbSpace::cloud(
-                        DbSpaceId(def.id),
-                        &def.name,
-                        storage,
-                        backend,
-                        db.shared.config.retry,
-                    ))
-                } else {
-                    let device = durable.block_devices.get(&def.id).cloned().ok_or_else(|| {
-                        IqError::Catalog(format!("missing device for {}", def.name))
-                    })?;
-                    device.stats.begin_epoch();
-                    db.shared
-                        .block_devices
-                        .write()
-                        .insert(def.id, device.clone());
-                    register_device_metrics(&db.shared.metrics, def.id, &device);
-                    Arc::new(DbSpace::conventional(
-                        DbSpaceId(def.id),
-                        &def.name,
-                        storage,
-                        device,
-                    )?)
-                };
-            db.shared.spaces.write().insert(def.id, Arc::clone(&space));
-            db.shared.immediate_sink.register(Arc::clone(&space));
-            db.next_space.fetch_max(def.id + 1, Ordering::Relaxed);
-            // Rebind the OCM to the first cloud dbspace, cold. Its store
-            // traffic goes through the fault injector when one is set.
-            if def.cloud && db.shared.config.ocm_bytes > 0 {
-                let mut ocm = db.shared.ocm.lock();
-                if ocm.is_none() {
-                    let backend: Arc<dyn ObjectBackend> =
-                        match db.shared.fault_injectors.read().get(&def.id) {
-                            Some(inj) => Arc::clone(inj) as Arc<dyn ObjectBackend>,
-                            None => db.shared.cloud_stores.read()[&def.id].clone(),
-                        };
-                    let backend: Arc<dyn ObjectBackend> =
-                        Arc::new(ReactorStore::new(Arc::clone(&db.shared.reactor), backend));
-                    let bound = Arc::new(Ocm::new(
-                        Arc::clone(&db.shared.ssd),
-                        backend,
-                        iq_ocm::OcmConfig {
-                            slot_bytes: def.page_size,
-                            capacity_bytes: db.shared.config.ocm_bytes,
-                            retry: db.shared.config.retry,
-                            protected_fraction: db.shared.config.cache_protected_fraction,
-                        },
-                    ));
-                    register_ocm_metrics(&db.shared.metrics, &bound, &db.shared.ssd);
-                    *ocm = Some((DbSpaceId(def.id), bound));
-                }
-            }
-        }
-
-        // Restore conventional freelists: last checkpoint image, then
-        // committed RF/RB bitmaps replayed in order (§3.3).
-        let mut checkpoint_freelists: Option<std::collections::BTreeMap<u32, Vec<u8>>> = None;
-        let mut commit_bitmaps = Vec::new();
-        for record in db.shared.log.replay_suffix() {
-            match record {
-                iq_txn::LogRecord::Checkpoint { freelists, .. } => {
-                    checkpoint_freelists = Some(freelists);
-                    commit_bitmaps.clear();
-                }
-                iq_txn::LogRecord::Commit { rfrb, .. } => commit_bitmaps.push(rfrb),
-                iq_txn::LogRecord::AllocateRange { .. } => {}
-            }
-        }
-        if let Some(images) = checkpoint_freelists {
-            for (space_id, image) in images {
-                if let Ok(space) = db.shared.space(DbSpaceId(space_id)) {
-                    space.restore_freelist(&image)?;
-                }
-            }
-        }
-        for rfrb in &commit_bitmaps {
-            for (space_id, start, count) in rfrb.rb.iter_blocks() {
-                if let Ok(space) = db.shared.space(space_id) {
-                    space.with_freelist(|f| f.mark_used(start, count as u32));
-                }
-            }
-            for (space_id, start, count) in rfrb.rf.iter_blocks() {
-                if let Ok(space) = db.shared.space(space_id) {
-                    space.with_freelist(|f| f.free(start, count as u32));
-                }
-            }
-        }
-
-        // Rebuild the composite registry from the same suffix: member
-        // layouts first (registration precedes any member free in commit
-        // order), then the recorded member deaths. A composite the
-        // pre-crash GC already reclaimed re-registers, re-dies, and hits
-        // an idempotent delete — self-healing, never a double free.
-        let composites = db.shared.txns.composites();
-        for rfrb in &commit_bitmaps {
-            for (&off, members) in &rfrb.packs {
-                composites.register(ObjectKey::from_offset(off), members);
-            }
-        }
-        for rfrb in &commit_bitmaps {
-            for (&off, ranges) in &rfrb.rf.members {
-                for &(member_off, _len) in ranges {
-                    composites.mark_member_dead(off, member_off);
-                }
-            }
-        }
-
-        // Rebuild tables from definitions + identity objects.
-        let table_defs: Vec<TableDef> = db
-            .shared
-            .catalog
-            .lock()
-            .get_section("tables")?
-            .unwrap_or_default();
-        for def in &table_defs {
-            let identity = db.shared.catalog.lock().identity(TableId(def.id)).copied();
-            let ts = match identity {
-                Some(identity) => {
-                    Arc::new(TableStore::from_identity(identity, DbSpaceId(def.space)))
-                }
-                None => Arc::new(TableStore::new(
-                    TableId(def.id),
-                    DbSpaceId(def.space),
-                    db.shared.config.blockmap_fanout,
-                )),
-            };
-            db.shared.tables.write().insert(def.id, ts);
-            db.next_table.fetch_max(def.id + 1, Ordering::Relaxed);
-        }
-
-        // Transactions in flight at power-off can never commit: poll
-        // every node's outstanding active set for garbage (§3.3,
-        // Table 1 clock 150 — applied to every node on full restart).
-        let keygen = db.shared.mx.coordinator.keygen()?;
-        let nodes: Vec<u32> = (0..=db.shared.config.writers + db.shared.config.readers).collect();
-        for node in nodes {
-            let set = keygen.drain_active_set(NodeId(node));
-            for off in set.iter() {
-                let key = ObjectKey::from_offset(off);
-                for space in db.shared.spaces.read().values() {
-                    if space.is_cloud() && space.poll_delete(key)? {
-                        break;
-                    }
-                }
-            }
-        }
-        Ok(db)
     }
 }
 

@@ -197,3 +197,32 @@ fn reopen_twice_is_stable() {
     // cannot allocate keys.
     assert!(db.begin_on(NodeId(1)).is_ok());
 }
+
+#[test]
+fn reopen_of_a_database_without_ddl() {
+    // The catalog is durable from birth: a database that never ran DDL
+    // reopens empty, and stays usable across further restarts.
+    let cfg = DatabaseConfig::test_small();
+    let db = Database::create(cfg.clone()).unwrap();
+    let db = Database::reopen(db.into_durable(), cfg.clone()).unwrap();
+    let db = Database::reopen(db.into_durable(), cfg.clone()).unwrap();
+    assert_eq!(db.stats().cloud_objects, 0);
+    assert!(db.dbspace(cloudiq::common::DbSpaceId(1)).is_err());
+
+    // DDL after the restarts starts from the first ids and survives one
+    // more reopen.
+    let space = db.create_cloud_dbspace("late").unwrap();
+    assert_eq!(space, cloudiq::common::DbSpaceId(1));
+    db.create_table(TableId(1), space).unwrap();
+    let mut meta = TableMeta::new(TableId(1), "t", schema(), 64);
+    let txn = db.begin();
+    load(&db, &mut meta, txn, 50);
+    db.commit(txn).unwrap();
+    db.save_table_meta(&meta).unwrap();
+    let db = Database::reopen(db.into_durable(), cfg).unwrap();
+    let meta = db.load_table_meta(TableId(1)).unwrap().unwrap();
+    let rtxn = db.begin();
+    let pager = db.pager(rtxn).unwrap();
+    assert_eq!(meta.scan(&pager, &[0], None, db.meter()).unwrap().len(), 50);
+    db.rollback(rtxn).unwrap();
+}
