@@ -1003,7 +1003,7 @@ impl Database {
             .with_stats(Arc::clone(&self.shared.io_stats));
         self.shared
             .buffer
-            .flush_txn_packed(txn, &pager, &flush_io, self.shared.config.pack_pages.max(1))
+            .flush_txn(txn, &pager, &flush_io, self.shared.config.pack_pages.max(1))
             .inspect_err(|_| {
                 let _ = self.rollback_inner(txn, true);
             })?;

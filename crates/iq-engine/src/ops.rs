@@ -400,31 +400,6 @@ fn partition_rows(
     Ok((hashes, by_part))
 }
 
-/// Hash join `left ⋈ right` on equal key columns under the serial
-/// policy (see [`hash_join_exec`]).
-///
-/// Output layout: `Inner`/`Left` → all left columns then all right
-/// columns (`Left` additionally appends an `I64` matched-marker column);
-/// `Semi`/`Anti` → left columns only.
-pub fn hash_join(
-    left: &Chunk,
-    right: &Chunk,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    jt: JoinType,
-    meter: &WorkMeter,
-) -> IqResult<Chunk> {
-    hash_join_exec(
-        left,
-        right,
-        left_keys,
-        right_keys,
-        jt,
-        meter,
-        &OpExec::serial(),
-    )
-}
-
 /// One partition of the build side: a key table over positions in the
 /// partition's (ascending) row list, and `next` chaining every position
 /// to the following position with the same key. Chains start at the
@@ -457,10 +432,15 @@ impl<'a> BuildPart<'a> {
     }
 }
 
-/// [`hash_join`] under an [`OpExec`] policy: the build side is
-/// partitioned by key hash and built per partition, the probe side runs
-/// over contiguous left morsels stitched in morsel order. Byte-identical
-/// for every worker count.
+/// Hash join `left ⋈ right` on equal key columns under an [`OpExec`]
+/// policy: the build side is partitioned by key hash and built per
+/// partition, the probe side runs over contiguous left morsels stitched
+/// in morsel order. Byte-identical for every worker count;
+/// [`OpExec::serial`] runs it on the calling thread.
+///
+/// Output layout: `Inner`/`Left` → all left columns then all right
+/// columns (`Left` additionally appends an `I64` matched-marker column);
+/// `Semi`/`Anti` → left columns only.
 pub fn hash_join_exec(
     left: &Chunk,
     right: &Chunk,
@@ -891,25 +871,17 @@ fn aggregate_rows(
     }
 }
 
-/// Hash aggregation under the serial policy (see
-/// [`hash_aggregate_exec`]). Output: group columns followed by one
-/// column per aggregate. With no group columns, produces exactly one row
-/// (scalar aggregates over an empty input yield 0/empty).
-pub fn hash_aggregate(
-    input: &Chunk,
-    group_cols: &[usize],
-    aggs: &[AggSpec],
-    meter: &WorkMeter,
-) -> IqResult<Chunk> {
-    hash_aggregate_exec(input, group_cols, aggs, meter, &OpExec::serial())
-}
-
-/// [`hash_aggregate`] under an [`OpExec`] policy: a partitioned
-/// two-phase plan (partition rows by group-key hash, fold partitions
+/// Hash aggregation under an [`OpExec`] policy: a partitioned two-phase
+/// plan (partition rows by group-key hash, fold partitions
 /// independently, stitch groups back in first-occurrence order).
 /// Byte-identical for every worker count; charges the meter the same
 /// total units at every worker count, so metered cost classification is
-/// worker-count-independent.
+/// worker-count-independent. [`OpExec::serial`] runs it on the calling
+/// thread.
+///
+/// Output: group columns followed by one column per aggregate. With no
+/// group columns, produces exactly one row (scalar aggregates over an
+/// empty input yield 0/empty).
 pub fn hash_aggregate_exec(
     input: &Chunk,
     group_cols: &[usize],
@@ -1070,7 +1042,16 @@ mod tests {
     #[test]
     fn inner_join_emits_pairs() {
         let m = WorkMeter::new();
-        let out = hash_join(&left(), &right(), &[0], &[0], JoinType::Inner, &m).unwrap();
+        let out = hash_join_exec(
+            &left(),
+            &right(),
+            &[0],
+            &[0],
+            JoinType::Inner,
+            &m,
+            &OpExec::serial(),
+        )
+        .unwrap();
         assert_eq!(out.len(), 3); // 2 matches twice, 4 once
         assert_eq!(out.col(0).i64s(), &[2, 2, 4]);
         assert_eq!(out.col(3).f64s(), &[20.0, 21.0, 40.0]);
@@ -1080,7 +1061,16 @@ mod tests {
     #[test]
     fn left_join_marks_matches() {
         let m = WorkMeter::new();
-        let out = hash_join(&left(), &right(), &[0], &[0], JoinType::Left, &m).unwrap();
+        let out = hash_join_exec(
+            &left(),
+            &right(),
+            &[0],
+            &[0],
+            JoinType::Left,
+            &m,
+            &OpExec::serial(),
+        )
+        .unwrap();
         assert_eq!(out.len(), 5); // 1,2,2,3,4
         let marker = out.col(out.cols.len() - 1).i64s();
         assert_eq!(marker, &[0, 1, 1, 0, 1]);
@@ -1091,10 +1081,28 @@ mod tests {
     #[test]
     fn semi_and_anti_join() {
         let m = WorkMeter::new();
-        let semi = hash_join(&left(), &right(), &[0], &[0], JoinType::Semi, &m).unwrap();
+        let semi = hash_join_exec(
+            &left(),
+            &right(),
+            &[0],
+            &[0],
+            JoinType::Semi,
+            &m,
+            &OpExec::serial(),
+        )
+        .unwrap();
         assert_eq!(semi.col(0).i64s(), &[2, 4]);
         assert_eq!(semi.cols.len(), 2); // left columns only
-        let anti = hash_join(&left(), &right(), &[0], &[0], JoinType::Anti, &m).unwrap();
+        let anti = hash_join_exec(
+            &left(),
+            &right(),
+            &[0],
+            &[0],
+            JoinType::Anti,
+            &m,
+            &OpExec::serial(),
+        )
+        .unwrap();
         assert_eq!(anti.col(0).i64s(), &[1, 3]);
     }
 
@@ -1110,7 +1118,16 @@ mod tests {
             Col::Str(vec!["y".into(), "x".into()]),
             Col::F64(vec![7.0, 8.0]),
         ]);
-        let out = hash_join(&l, &r, &[0, 1], &[0, 1], JoinType::Inner, &m).unwrap();
+        let out = hash_join_exec(
+            &l,
+            &r,
+            &[0, 1],
+            &[0, 1],
+            JoinType::Inner,
+            &m,
+            &OpExec::serial(),
+        )
+        .unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out.col(4).f64s(), &[7.0, 8.0]);
     }
@@ -1118,8 +1135,26 @@ mod tests {
     #[test]
     fn join_key_arity_checked() {
         let m = WorkMeter::new();
-        assert!(hash_join(&left(), &right(), &[0], &[0, 1], JoinType::Inner, &m).is_err());
-        assert!(hash_join(&left(), &right(), &[], &[], JoinType::Inner, &m).is_err());
+        assert!(hash_join_exec(
+            &left(),
+            &right(),
+            &[0],
+            &[0, 1],
+            JoinType::Inner,
+            &m,
+            &OpExec::serial()
+        )
+        .is_err());
+        assert!(hash_join_exec(
+            &left(),
+            &right(),
+            &[],
+            &[],
+            JoinType::Inner,
+            &m,
+            &OpExec::serial()
+        )
+        .is_err());
     }
 
     #[test]
@@ -1130,7 +1165,7 @@ mod tests {
             Col::F64(vec![1.0, 2.0, 3.0, 4.0]),
             Col::I64(vec![10, 20, 10, 30]),
         ]);
-        let out = hash_aggregate(
+        let out = hash_aggregate_exec(
             &input,
             &[0],
             &[
@@ -1142,6 +1177,7 @@ mod tests {
                 AggSpec::count_distinct(2),
             ],
             &m,
+            &OpExec::serial(),
         )
         .unwrap();
         assert_eq!(out.len(), 2);
@@ -1164,11 +1200,19 @@ mod tests {
     fn scalar_aggregate_including_empty() {
         let m = WorkMeter::new();
         let input = Chunk::new(vec![Col::F64(vec![1.0, 2.0])]);
-        let out = hash_aggregate(&input, &[], &[AggSpec::sum(0)], &m).unwrap();
+        let out =
+            hash_aggregate_exec(&input, &[], &[AggSpec::sum(0)], &m, &OpExec::serial()).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.col(0).f64s(), &[3.0]);
         let empty = Chunk::new(vec![Col::F64(vec![])]);
-        let out = hash_aggregate(&empty, &[], &[AggSpec::sum(0), AggSpec::count(0)], &m).unwrap();
+        let out = hash_aggregate_exec(
+            &empty,
+            &[],
+            &[AggSpec::sum(0), AggSpec::count(0)],
+            &m,
+            &OpExec::serial(),
+        )
+        .unwrap();
         assert_eq!(out.col(0).f64s(), &[0.0]);
         assert_eq!(out.col(1).i64s(), &[0]);
     }
@@ -1180,7 +1224,14 @@ mod tests {
             Col::Str(vec!["PERU".into(), "BRAZIL".into()]),
             Col::Date(vec![100, 50]),
         ]);
-        let out = hash_aggregate(&input, &[], &[AggSpec::min(0), AggSpec::max(1)], &m).unwrap();
+        let out = hash_aggregate_exec(
+            &input,
+            &[],
+            &[AggSpec::min(0), AggSpec::max(1)],
+            &m,
+            &OpExec::serial(),
+        )
+        .unwrap();
         assert_eq!(out.col(0).strs()[0].as_ref(), "BRAZIL");
         assert_eq!(out.col(1).i64s()[0], 100);
     }
@@ -1204,7 +1255,14 @@ mod tests {
     fn aggregate_rejects_bad_types() {
         let m = WorkMeter::new();
         let input = Chunk::new(vec![Col::Str(vec!["x".into()])]);
-        assert!(hash_aggregate(&input, &[], &[AggSpec::count_distinct(0)], &m).is_err());
+        assert!(hash_aggregate_exec(
+            &input,
+            &[],
+            &[AggSpec::count_distinct(0)],
+            &m,
+            &OpExec::serial()
+        )
+        .is_err());
     }
 
     /// A float workload whose sums are sensitive to accumulation order:
@@ -1237,7 +1295,7 @@ mod tests {
             AggSpec::count_distinct(2),
         ];
         let m = WorkMeter::new();
-        let oracle = hash_aggregate(&input, &[0], &aggs, &m).unwrap();
+        let oracle = hash_aggregate_exec(&input, &[0], &aggs, &m, &OpExec::serial()).unwrap();
         let serial_units = m.total();
         for workers in [2, 3, 8] {
             let m = WorkMeter::new();
@@ -1266,7 +1324,7 @@ mod tests {
             JoinType::Anti,
         ] {
             let m = WorkMeter::new();
-            let oracle = hash_join(&l, &r, &[0], &[0], jt, &m).unwrap();
+            let oracle = hash_join_exec(&l, &r, &[0], &[0], jt, &m, &OpExec::serial()).unwrap();
             let serial_units = m.total();
             for workers in [2, 8] {
                 let m = WorkMeter::new();
@@ -1306,7 +1364,14 @@ mod tests {
         // Grouped aggregate over an empty input: zero rows, but the
         // columns still carry statically-derived types.
         let empty = Chunk::new(vec![Col::I64(vec![]), Col::F64(vec![])]);
-        let out = hash_aggregate(&empty, &[0], &[AggSpec::sum(1), AggSpec::count(0)], &m).unwrap();
+        let out = hash_aggregate_exec(
+            &empty,
+            &[0],
+            &[AggSpec::sum(1), AggSpec::count(0)],
+            &m,
+            &OpExec::serial(),
+        )
+        .unwrap();
         assert_eq!(out.len(), 0);
         assert!(matches!(out.col(1), Col::F64(_)));
         assert!(matches!(out.col(2), Col::I64(_)));

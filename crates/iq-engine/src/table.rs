@@ -219,27 +219,6 @@ impl TableMeta {
         )
     }
 
-    /// [`scan`](TableMeta::scan) with an explicit morsel-parallelism degree.
-    pub fn scan_with_workers(
-        &self,
-        store: &dyn PageStore,
-        projection: &[usize],
-        pred: Option<&Expr>,
-        meter: &WorkMeter,
-        workers: usize,
-    ) -> IqResult<Chunk> {
-        self.scan_with_options(
-            store,
-            projection,
-            pred,
-            meter,
-            ScanOptions {
-                workers,
-                late_mat: true,
-            },
-        )
-    }
-
     /// The scan hot path: a two-phase late-materialization morsel scan.
     ///
     /// Each surviving row group is one morsel: a worker claims it, issues

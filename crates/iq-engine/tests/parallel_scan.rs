@@ -6,8 +6,16 @@ use iq_common::{TableId, TxnId};
 use iq_engine::expr::Expr;
 use iq_engine::table::{Schema, TableMeta, TableWriter};
 use iq_engine::value::{DataType, Value};
-use iq_engine::{MemPageStore, WorkMeter};
+use iq_engine::{MemPageStore, ScanOptions, WorkMeter};
 use proptest::prelude::*;
+
+/// A late-materialization scan at `workers` morsel parallelism.
+fn opts(workers: usize) -> ScanOptions {
+    ScanOptions {
+        workers,
+        late_mat: true,
+    }
+}
 
 fn schema() -> Schema {
     Schema::new(&[
@@ -68,12 +76,12 @@ proptest! {
         let pred = predicate(pred_kind);
         for proj in [vec![0usize, 1, 2], vec![1], vec![2, 0]] {
             let serial = meta
-                .scan_with_workers(&store, &proj, pred.as_ref(), &meter, 1)
+                .scan_with_options(&store, &proj, pred.as_ref(), &meter, opts(1))
                 .unwrap();
             prop_assert_eq!(serial.cols.len(), proj.len());
             for workers in [2usize, 8] {
                 let parallel = meta
-                    .scan_with_workers(&store, &proj, pred.as_ref(), &meter, workers)
+                    .scan_with_options(&store, &proj, pred.as_ref(), &meter, opts(workers))
                     .unwrap();
                 prop_assert_eq!(&parallel, &serial);
             }
@@ -92,7 +100,7 @@ proptest! {
         let pred = predicate(1);
         let a = meta.scan(&store, &[0, 2], pred.as_ref(), &meter).unwrap();
         let b = meta
-            .scan_with_workers(&store, &[0, 2], pred.as_ref(), &meter, 8)
+            .scan_with_options(&store, &[0, 2], pred.as_ref(), &meter, opts(8))
             .unwrap();
         prop_assert_eq!(a, b);
     }
