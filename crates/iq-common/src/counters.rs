@@ -1,7 +1,7 @@
 //! Declarative counter sets.
 //!
 //! Every layer exports its activity as a set of relaxed atomic counters.
-//! One [`counters!`](crate::counters) declaration names each counter of a
+//! One [`counters!`](macro@crate::counters) declaration names each counter of a
 //! set once, with its kind, and generates:
 //!
 //! * the set struct, whose counters are `pub` [`AtomicU64`]s (or a
@@ -104,7 +104,7 @@ impl<S: Copy> Epoch<S> {
     }
 }
 
-/// Declare a counter set once; see the [module docs](crate::counters) for
+/// Declare a counter set once; see the [module docs](mod@crate::counters) for
 /// the syntax and what it generates.
 #[macro_export]
 macro_rules! counters {

@@ -1,7 +1,7 @@
 //! The submission/completion I/O core.
 //!
-//! PR 7 replaces the thread-per-op [`WorkerPool`](crate::pool) call sites
-//! with an io_uring-shaped model: callers *submit* a batch of operations
+//! Parallel I/O follows an io_uring-shaped model rather than a
+//! thread-per-op worker pool: callers *submit* a batch of operations
 //! and then await their completions, so the number of operations in
 //! flight is bounded by how much work was submitted — not by how many
 //! threads happen to be blocked inside the backend. Two pieces implement

@@ -24,7 +24,7 @@
 //!   commit-flush fan-out and the GC's batched deletes: operations are
 //!   *submitted* and their completions awaited, so in-flight depth is
 //!   bounded by submitted work rather than by blocked threads.
-//! * [`counters`] — the [`counters!`] declaration every layer's
+//! * [`counters`](mod@counters) — the [`counters!`](macro@counters) declaration every layer's
 //!   relaxed-atomic counter set is generated from (storage, snapshot,
 //!   epoch and metric rows).
 //! * [`trace`] — the unified observability layer: a deterministic

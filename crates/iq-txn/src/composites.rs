@@ -9,7 +9,8 @@
 //! is that bookkeeping: each composite's member layout is registered at
 //! commit (and re-registered from the transaction log at recovery), member
 //! frees arriving through the RF bitmaps flip per-member death bits, and
-//! the GC asks for [`CompositeRegistry::take_fully_dead`] each tick.
+//! the GC asks for [`CompositeRegistry::fully_dead_pending`] each tick and
+//! confirms each delete with [`CompositeRegistry::note_reclaimed`].
 //!
 //! Sparse composites — mostly dead but pinned by a few survivors — are
 //! what the LSM-style compaction pass targets:
